@@ -12,25 +12,6 @@
 
 namespace mado::core {
 
-/// Tuning for MultirailPolicy::Stripe (heterogeneous multi-rail bulk
-/// striping with cost-model placement and rail work-stealing).
-struct StripePolicy {
-  /// Smallest chunk the splitter will cut. A rail whose cost-model share
-  /// comes out below this is dropped from the stripe and its bytes folded
-  /// into the fastest rail — a 100:1 rail pair should not pay a rendezvous
-  /// round just to move a handful of bytes on the slow NIC.
-  std::size_t min_chunk = 8 * 1024;
-
-  /// Idle rails steal queued chunks from the most-loaded rail toward the
-  /// same peer (from the tail of its queue, so the victim keeps streaming
-  /// its head undisturbed).
-  bool steal = true;
-
-  /// A rail only becomes a steal victim while it still has at least this
-  /// many queued bulk bytes (0 = any non-empty queue may be robbed).
-  std::size_t steal_min_bytes = 0;
-};
-
 struct EngineConfig {
   /// Name of the optimization strategy, resolved via the StrategyRegistry
   /// ("the database of predefined strategies can be easily extended").
@@ -58,10 +39,7 @@ struct EngineConfig {
   /// Bulk data is cut into chunks of this size for multirail distribution.
   std::size_t rdv_chunk = 64 * 1024;
 
-  MultirailPolicy multirail = MultirailPolicy::DynamicSplit;
-
-  /// Tuning for MultirailPolicy::Stripe (ignored by the other policies).
-  StripePolicy stripe;
+  MultirailPolicy multirail = MultirailPolicy::Stripe;
 
   /// Rail selection for eager messages at submit time.
   EagerRailPolicy eager_rail = EagerRailPolicy::ClassPinned;

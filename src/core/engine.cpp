@@ -515,42 +515,33 @@ bool Engine::pop_bulk_chunk_locked(PeerState& ps, Rail& rail,
     rail.bulk_q.pop_front();
     return true;
   }
-  if (cfg_.multirail == MultirailPolicy::DynamicSplit &&
-      !ps.shared_bulk.empty()) {
-    out = ps.shared_bulk.front();
-    ps.shared_bulk.pop_front();
-    return true;
-  }
-  if (cfg_.multirail == MultirailPolicy::Stripe && cfg_.stripe.steal) {
-    // Work stealing: this rail went idle while a sibling still has queued
-    // stripe chunks — the paper's "NIC becomes idle" activation generalized
-    // across rails. Rob the tail of the most-loaded Up victim so its head
-    // keeps streaming undisturbed; prediction error and mid-transfer load
-    // shifts self-correct this way.
-    Rail* victim = nullptr;
-    std::size_t victim_bytes = 0;
-    for (const auto& other : ps.rails) {
-      if (other.get() == &rail || other->state == RailState::Down) continue;
-      if (other->bulk_q.empty()) continue;
-      std::size_t bytes = 0;
-      for (const BulkChunk& c : other->bulk_q) bytes += c.len;
-      if (bytes < cfg_.stripe.steal_min_bytes) continue;
-      if (victim == nullptr || bytes > victim_bytes) {
-        victim = other.get();
-        victim_bytes = bytes;
-      }
-    }
-    if (victim != nullptr) {
-      out = victim->bulk_q.back();
-      victim->bulk_q.pop_back();
-      ps.stats.inc("stripe.steals");
-      ps.stats.inc("stripe.steal_bytes", out.len);
-      trace_locked(TraceEvent::BulkSteal, ps.id, rail.port.rail, out.token,
-                   out.offset, out.len, victim->port.rail);
-      return true;
+  // SingleRail keeps bulk pinned: idle rails never steal.
+  if (cfg_.multirail != MultirailPolicy::Stripe) return false;
+  // Work stealing: this rail went idle while a sibling still has queued
+  // stripe chunks — the paper's "NIC becomes idle" activation generalized
+  // across rails. Rob the tail of the most-loaded Up victim so its head
+  // keeps streaming undisturbed; prediction error and mid-transfer load
+  // shifts self-correct this way.
+  Rail* victim = nullptr;
+  std::size_t victim_bytes = 0;
+  for (const auto& other : ps.rails) {
+    if (other.get() == &rail || other->state == RailState::Down) continue;
+    if (other->bulk_q.empty()) continue;
+    std::size_t bytes = 0;
+    for (const BulkChunk& c : other->bulk_q) bytes += c.len;
+    if (victim == nullptr || bytes > victim_bytes) {
+      victim = other.get();
+      victim_bytes = bytes;
     }
   }
-  return false;
+  if (victim == nullptr) return false;
+  out = victim->bulk_q.back();
+  victim->bulk_q.pop_back();
+  ps.stats.inc("stripe.steals");
+  ps.stats.inc("stripe.steal_bytes", out.len);
+  trace_locked(TraceEvent::BulkSteal, ps.id, rail.port.rail, out.token,
+               out.offset, out.len, victim->port.rail);
+  return true;
 }
 
 void Engine::send_packet_locked(PeerState& ps, Rail& rail, FragList&& frags) {
@@ -1200,12 +1191,8 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
       if (rec.is_bulk) {
         // Re-queue the chunk; it rides the survivor's bulk stream with a
         // fresh sequence number.
-        BulkChunk chunk{rec.rdv_token, rec.chunk_off, rec.chunk_len,
-                        rec.chunk_stripe};
-        if (cfg_.multirail == MultirailPolicy::DynamicSplit)
-          ps.shared_bulk.push_back(chunk);
-        else
-          survivor->bulk_q.push_back(chunk);
+        survivor->bulk_q.push_back(BulkChunk{rec.rdv_token, rec.chunk_off,
+                                             rec.chunk_len, rec.chunk_stripe});
         ++replayed_chunks;
         ps.stats.inc("rel.replayed_chunks");
       } else {
@@ -1268,15 +1255,12 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
     }
   }
 
-  // 3. Queued bulk chunks follow their policy onto the survivor.
+  // 3. Queued bulk chunks move onto the survivor's queue.
   while (!rail.bulk_q.empty()) {
     BulkChunk chunk = rail.bulk_q.front();
     rail.bulk_q.pop_front();
     if (survivor) {
-      if (cfg_.multirail == MultirailPolicy::DynamicSplit)
-        ps.shared_bulk.push_back(chunk);
-      else
-        survivor->bulk_q.push_back(chunk);
+      survivor->bulk_q.push_back(chunk);
       ++replayed_chunks;
     }
   }
@@ -1284,7 +1268,6 @@ void Engine::fail_rail_locked(PeerState& ps, Rail& rail) {
   // 4. No survivor: purge everything that would wedge flush() — the sends
   //    already failed above, keeping their queues would just hang waiters.
   if (!survivor) {
-    ps.shared_bulk.clear();
     // fail_state_locked touches channels/send states only, never rdv_tx
     // itself — safe inside for_each (no same-table mutation).
     ps.rdv_tx.for_each([&](std::uint64_t, RdvTx& rdv) {
@@ -1755,9 +1738,7 @@ bool Engine::flush(Nanos timeout) {
           if (ps->ring_pending.load(std::memory_order_acquire) > 0)
             return false;
           std::lock_guard<std::mutex> lk(ps->mu);
-          if (!ps->inflight.empty() || !ps->rdv_tx.empty() ||
-              !ps->shared_bulk.empty())
-            return false;
+          if (!ps->inflight.empty() || !ps->rdv_tx.empty()) return false;
           for (const auto& rail : ps->rails)
             if (!rail->backlog.empty() || !rail->bulk_q.empty()) return false;
         }
@@ -2026,7 +2007,7 @@ std::size_t Engine::pending_bulk_chunks(NodeId peer) const {
   PeerState* ps = find_peer(peer);
   MADO_CHECK(ps != nullptr);
   std::lock_guard<std::mutex> lk(ps->mu);
-  std::size_t n = ps->shared_bulk.size();
+  std::size_t n = 0;
   for (const auto& rail : ps->rails) n += rail->bulk_q.size();
   return n;
 }
@@ -2038,7 +2019,6 @@ Engine::Snapshot Engine::snapshot() const {
     std::lock_guard<std::mutex> lk(ps->mu);
     Snapshot::PeerInfo pi;
     pi.id = id;
-    pi.shared_bulk_chunks = ps->shared_bulk.size();
     pi.open_channels = ps->channels.size();
     pi.rx_pending_msgs = ps->rx_msgs.size();
     pi.submit_ring_pending =
@@ -2074,7 +2054,7 @@ bool Engine::Snapshot::quiescent() const {
   if (inflight_packets || rdv_tx_active || rdv_rx_active || pending_gets)
     return false;
   for (const auto& p : peers) {
-    if (p.shared_bulk_chunks || p.submit_ring_pending) return false;
+    if (p.submit_ring_pending) return false;
     for (const auto& r : p.rails)
       if (r.backlog_frags || r.bulk_chunks || r.outstanding_packets)
         return false;
@@ -2090,7 +2070,6 @@ std::string Engine::Snapshot::to_string() const {
   for (const auto& p : peers) {
     os << "peer " << p.id << ": channels=" << p.open_channels
        << " rx_pending=" << p.rx_pending_msgs
-       << " shared_bulk=" << p.shared_bulk_chunks
        << " ring_pending=" << p.submit_ring_pending << "\n";
     for (std::size_t i = 0; i < p.rails.size(); ++i) {
       const auto& r = p.rails[i];

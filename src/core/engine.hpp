@@ -220,7 +220,6 @@ class Engine final {
     struct PeerInfo {
       NodeId id = 0;
       std::vector<RailInfo> rails;
-      std::size_t shared_bulk_chunks = 0;
       std::size_t open_channels = 0;
       std::size_t rx_pending_msgs = 0;
       std::size_t submit_ring_pending = 0;  ///< ops enqueued, not drained
@@ -269,8 +268,8 @@ class Engine final {
     std::uint64_t token = 0;
     std::uint64_t offset = 0;
     std::uint32_t len = 0;
-    /// Stripe sequence within the transfer's plan (Stripe policy; 0
-    /// otherwise). Travels to the wire/trace for observability.
+    /// Stripe sequence within the transfer's placement plan. Travels to the
+    /// wire/trace for observability.
     std::uint32_t stripe = 0;
   };
 
@@ -302,7 +301,7 @@ class Engine final {
     RailPort port;
     std::vector<std::size_t> outstanding;  // per track
     TxBacklog backlog;
-    std::deque<BulkChunk> bulk_q;  // SingleRail / StaticSplit chunks
+    std::deque<BulkChunk> bulk_q;  // chunks placed (or stolen) onto this rail
     bool bulk_turn = false;        // shared-track alternation
     RailState state = RailState::Up;
     RelTrack rel[2];       // [0] eager stream, [1] bulk stream
@@ -314,7 +313,6 @@ class Engine final {
     std::uint64_t flow_index_ops_flushed = 0;  // backlog ops already counted
     std::uint32_t pkt_seq = 0;
     std::size_t inflight_bytes = 0;
-    std::uint64_t static_split_assigned = 0;  // bytes, for StaticSplit
 
     drv::TrackId bulk_track() const {
       return ep->caps().track_count > 1 ? drv::kTrackBulk : drv::kTrackEager;
@@ -378,7 +376,6 @@ class Engine final {
     std::uint64_t total = 0;
     std::uint64_t queued = 0;     // bytes cut into chunks so far
     std::uint64_t completed = 0;  // bytes whose chunk send completed
-    std::uint32_t next_stripe = 0;  // next stripe id to assign (Stripe)
     bool cts_received = false;
     Nanos rts_time = 0;  ///< when the RTS was submitted (handshake latency)
     /// True once rts_time is a real timestamp. A plain `rts_time != 0`
@@ -554,7 +551,10 @@ class Engine final {
     std::vector<std::unique_ptr<Rail>> rails;
     std::map<ChannelId, ChannelState> channels;
     std::map<RxKey, RxMessage> rx_msgs;
-    std::deque<BulkChunk> shared_bulk;  // DynamicSplit chunk pool
+    /// Bulk placement scratch (distribute_chunks_locked), reused across
+    /// rendezvous: it grows only when the rail count does.
+    std::vector<strategy_detail::StripeRail> stripe_rails;
+    std::vector<std::uint64_t> stripe_plan;
     /// Hot token-keyed state: open-addressing slabs (core/token_table.hpp),
     /// not std::map — O(1) probes, no per-entry allocation, and they shrink
     /// back when a flow burst drains so per-peer memory stays bounded.
@@ -718,15 +718,13 @@ class Engine final {
   void handle_cts_locked(PeerState& ps, ByteSpan payload);
   void note_nfrags_locked(RxMessage& msg, const FragHeader& fh);
   void send_cts_locked(PeerState& ps, const FragHeader& fh, RxSlot& slot);
+  /// Bulk placement at CTS time. Under MultirailPolicy::Stripe the cost
+  /// model (strategy_detail::stripe_shares) splits the transfer into
+  /// per-rail contiguous ranges; under SingleRail, or when no rail can
+  /// carry traffic, the whole transfer goes to the Bulk class rail. Each
+  /// range is then cut into chunks on that rail's queue.
   void distribute_chunks_locked(PeerState& ps, std::uint64_t token,
                                 RdvTx& rdv);
-  /// MultirailPolicy::Stripe placement: consult the cost model
-  /// (strategy_detail::stripe_shares) to split the transfer into per-rail
-  /// contiguous ranges, then cut each range into chunks on that rail's
-  /// queue. Falls back to the Bulk class rail when fewer than two rails can
-  /// carry traffic.
-  void stripe_chunks_locked(PeerState& ps, std::uint64_t token, RdvTx& rdv,
-                            std::size_t chunk_size);
   /// Bytes that must drain from `rail` before a newly-queued bulk chunk
   /// moves: queued bulk chunks + eager backlog + the larger of
   /// driver-in-flight and un-acked wire bytes (they overlap; counting both

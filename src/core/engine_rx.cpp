@@ -19,6 +19,16 @@
 
 namespace mado::core {
 
+namespace {
+
+/// Smallest chunk the stripe planner will cut. A rail whose cost-model
+/// share comes out below this is dropped from the stripe and its bytes
+/// folded into the fastest rail — a 100:1 rail pair should not pay a
+/// rendezvous round just to move a handful of bytes on the slow NIC.
+constexpr std::size_t kStripeMinChunk = 8 * 1024;
+
+}  // namespace
+
 // ---- driver entry ------------------------------------------------------------
 
 void Engine::on_packet(NodeId peer, RailId rail_id, drv::TrackId track,
@@ -362,53 +372,64 @@ void Engine::handle_cts_locked(PeerState& ps, ByteSpan payload) {
 
 void Engine::distribute_chunks_locked(PeerState& ps, std::uint64_t token,
                                       RdvTx& rdv) {
+  // Cost-model placement (the optimizing layer's stripe hook): split the
+  // transfer into per-rail contiguous byte ranges sized so every rail's
+  // predicted completion time — per-chunk injection cost (PIO/DMA), wire
+  // occupancy at the rail's effective bandwidth, and the backlog it must
+  // drain first — comes out equal. Work stealing in pop_bulk_chunk_locked
+  // corrects whatever the prediction gets wrong. The plan's scratch lives
+  // in the peer so a rendezvous allocates nothing here.
   const std::size_t chunk_size = std::max<std::size_t>(1, cfg_.rdv_chunk);
-  if (cfg_.multirail == MultirailPolicy::Stripe) {
-    stripe_chunks_locked(ps, token, rdv, chunk_size);
-    return;
+  const bool striping = cfg_.multirail == MultirailPolicy::Stripe;
+  std::vector<std::uint64_t>& shares = ps.stripe_plan;
+  bool planned = false;
+  if (striping) {
+    std::vector<strategy_detail::StripeRail>& cands = ps.stripe_rails;
+    cands.resize(ps.rails.size());
+    for (std::size_t i = 0; i < ps.rails.size(); ++i) {
+      const Rail& rail = *ps.rails[i];
+      cands[i].caps = &rail.ep->caps();
+      cands[i].backlog_bytes = rail_pending_bytes_locked(rail);
+      cands[i].up = rail.state != RailState::Down;
+    }
+    const double imbalance = strategy_detail::stripe_shares(
+        cands, rdv.total, chunk_size, kStripeMinChunk, shares);
+    planned = std::any_of(shares.begin(), shares.end(),
+                          [](std::uint64_t s) { return s > 0; });
+    ps.stats.inc("stripe.transfers");
+    // Histogram values are integral; record the predicted spread in percent.
+    ps.stats.observe("stripe.imbalance_pct",
+                     static_cast<std::uint64_t>(imbalance + 0.5));
   }
-  for (std::uint64_t off = 0; off < rdv.total; off += chunk_size) {
-    BulkChunk chunk;
-    chunk.token = token;
-    chunk.offset = off;
-    chunk.len = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(chunk_size, rdv.total - off));
-    rdv.queued += chunk.len;
-    switch (cfg_.multirail) {
-      case MultirailPolicy::SingleRail: {
-        const RailId r = rail_for_class_locked(ps, TrafficClass::Bulk);
-        ps.rails[r]->bulk_q.push_back(chunk);
-        break;
-      }
-      case MultirailPolicy::StaticSplit: {
-        // Proportional-to-bandwidth assignment, decided up front.
-        std::size_t best = 0;
-        double best_cost = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < ps.rails.size(); ++i) {
-          const double bw = ps.rails[i]->ep->caps().effective_bandwidth();
-          const double cost =
-              (static_cast<double>(ps.rails[i]->static_split_assigned) +
-               chunk.len) /
-              bw;
-          if (cost < best_cost) {
-            best_cost = cost;
-            best = i;
-          }
-        }
-        ps.rails[best]->static_split_assigned += chunk.len;
-        ps.rails[best]->bulk_q.push_back(chunk);
-        break;
-      }
-      case MultirailPolicy::DynamicSplit:
-        // Shared pool: each idle bulk track pulls the next chunk, so faster
-        // rails automatically take more (paper §2, dynamic load balancing).
-        ps.shared_bulk.push_back(chunk);
-        break;
-      case MultirailPolicy::Stripe:
-        MADO_CHECK_MSG(false, "Stripe handled by stripe_chunks_locked");
-        break;
+  if (!planned) {
+    // SingleRail, or no carrier survived the model (all rails down —
+    // failover handles the rest): everything on the Bulk class rail.
+    shares.assign(ps.rails.size(), 0);
+    shares[rail_for_class_locked(ps, TrafficClass::Bulk)] = rdv.total;
+  }
+
+  // Cut each rail's contiguous range into chunks on its queue. Offsets run
+  // low-to-high across rails in index order; stripe ids are global over the
+  // plan so traces can replay the placement.
+  std::uint64_t off = 0;
+  std::uint32_t stripe = 0;
+  for (std::size_t i = 0; i < ps.rails.size(); ++i) {
+    std::uint64_t left = shares[i];
+    while (left > 0) {
+      BulkChunk chunk;
+      chunk.token = token;
+      chunk.offset = off;
+      chunk.len = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(chunk_size, left));
+      chunk.stripe = stripe++;
+      off += chunk.len;
+      left -= chunk.len;
+      rdv.queued += chunk.len;
+      ps.rails[i]->bulk_q.push_back(chunk);
     }
   }
+  MADO_ASSERT(off == rdv.total);
+  if (striping) ps.stats.inc("stripe.chunks", stripe);
 }
 
 std::size_t Engine::rail_pending_bytes_locked(const Rail& rail) {
@@ -421,62 +442,6 @@ std::size_t Engine::rail_pending_bytes_locked(const Rail& rail) {
       rail.rel[0].unacked_bytes + rail.rel[1].unacked_bytes;
   return queued + rail.backlog.byte_count() +
          std::max(rail.inflight_bytes, unacked);
-}
-
-void Engine::stripe_chunks_locked(PeerState& ps, std::uint64_t token,
-                                  RdvTx& rdv, std::size_t chunk_size) {
-  // Cost-model placement (the optimizing layer's stripe hook): split the
-  // transfer into per-rail contiguous byte ranges sized so every rail's
-  // predicted completion time — per-chunk injection cost (PIO/DMA), wire
-  // occupancy at the rail's effective bandwidth, and the backlog it must
-  // drain first — comes out equal. Work stealing in pop_bulk_chunk_locked
-  // corrects whatever the prediction gets wrong.
-  std::vector<strategy_detail::StripeRail> cands(ps.rails.size());
-  for (std::size_t i = 0; i < ps.rails.size(); ++i) {
-    const Rail& rail = *ps.rails[i];
-    cands[i].caps = &rail.ep->caps();
-    cands[i].backlog_bytes = rail_pending_bytes_locked(rail);
-    cands[i].up = rail.state != RailState::Down;
-  }
-  std::vector<std::uint64_t> shares;
-  const double imbalance = strategy_detail::stripe_shares(
-      cands, rdv.total, chunk_size, cfg_.stripe.min_chunk, shares);
-  const bool planned =
-      std::count_if(shares.begin(), shares.end(),
-                    [](std::uint64_t s) { return s > 0; }) > 0;
-  if (!planned) {
-    // No carrier survived the model (all rails down — failover handles the
-    // rest): park everything on the Bulk class rail like SingleRail would.
-    const RailId r = rail_for_class_locked(ps, TrafficClass::Bulk);
-    shares.assign(ps.rails.size(), 0);
-    shares[r] = rdv.total;
-  }
-  ps.stats.inc("stripe.transfers");
-  // Histogram values are integral; record the predicted spread in percent.
-  ps.stats.observe("stripe.imbalance_pct",
-                   static_cast<std::uint64_t>(imbalance + 0.5));
-
-  // Cut each rail's contiguous range into chunks on its queue. Offsets run
-  // low-to-high across rails in index order; stripe ids are global over the
-  // plan so traces can replay the placement.
-  std::uint64_t off = 0;
-  for (std::size_t i = 0; i < ps.rails.size(); ++i) {
-    std::uint64_t left = shares[i];
-    while (left > 0) {
-      BulkChunk chunk;
-      chunk.token = token;
-      chunk.offset = off;
-      chunk.len = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(chunk_size, left));
-      chunk.stripe = rdv.next_stripe++;
-      off += chunk.len;
-      left -= chunk.len;
-      rdv.queued += chunk.len;
-      ps.rails[i]->bulk_q.push_back(chunk);
-      ps.stats.inc("stripe.chunks");
-    }
-  }
-  MADO_ASSERT(off == rdv.total);
 }
 
 // ---- bulk path -------------------------------------------------------------------

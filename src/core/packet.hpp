@@ -117,8 +117,8 @@ struct BulkHeader {
   std::uint32_t ack_bulk = 0;
   /// CRC-32 over the chunk data. Valid only with kPhFlagPayloadCrc.
   std::uint32_t payload_crc = 0;
-  /// Stripe sequence: the chunk's index in the sender-side stripe plan for
-  /// this transfer (MultirailPolicy::Stripe; 0 otherwise). Purely
+  /// Stripe sequence: the chunk's index in the sender-side placement plan
+  /// for this transfer. Purely
   /// observability — reassembly keys on (token, offset) — but lets traces
   /// and tests reconstruct which rail carried which slice of the plan.
   std::uint32_t stripe = 0;

@@ -109,8 +109,9 @@ double stripe_shares(const std::vector<StripeRail>& rails,
     double rate;        // bytes/ns
     double drain_time;  // ns until the existing backlog clears
   };
-  std::vector<Cand> cands;
-  cands.reserve(rails.size());
+  // Inline for up to 8 rails: the engine plans every rendezvous through
+  // here, so the common case must not touch the heap.
+  mado::SmallVector<Cand, 8> cands;
   for (std::size_t i = 0; i < rails.size(); ++i) {
     if (!rails[i].up || rails[i].caps == nullptr) continue;
     const double rate = stripe_rail_rate(*rails[i].caps, chunk);

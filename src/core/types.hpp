@@ -92,18 +92,13 @@ enum class EagerRailPolicy : std::uint8_t {
 enum class MultirailPolicy : std::uint8_t {
   /// All bulk chunks use the Bulk class's rail.
   SingleRail,
-  /// Chunks pre-assigned round-robin weighted by link bandwidth.
-  StaticSplit,
-  /// Chunks sit in one shared queue; each idle bulk track pulls the next
-  /// (self-balancing across heterogeneous rails).
-  DynamicSplit,
   /// Cost-model striping: the optimizer splits the transfer into per-rail
   /// contiguous byte ranges sized so every rail's *predicted completion
   /// time* (NicModel PIO/DMA thresholds + per-rail backlog) is equal, then
   /// cuts each range into chunks on that rail's queue. Idle rails steal
   /// queued chunks from loaded ones (the paper's "NIC becomes idle"
   /// activation, generalized across rails), so prediction error and
-  /// mid-transfer load shifts self-correct. Tuned by StripePolicy.
+  /// mid-transfer load shifts self-correct. The default.
   Stripe,
 };
 

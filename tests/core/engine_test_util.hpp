@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 
+#include "core/trace.hpp"
 #include "core/world.hpp"
 #include "drivers/profiles.hpp"
 #include "util/wire.hpp"
@@ -31,6 +33,15 @@ inline Bytes recv_bytes(Channel& ch, std::size_t n) {
   IncomingMessage im = ch.begin_recv();
   im.unpack(out.data(), n, RecvMode::Express);
   im.finish();
+  return out;
+}
+
+/// Count BulkTx bytes per rail from a tracer attached to the sender (node 0).
+inline std::map<RailId, std::uint64_t> bulk_tx_bytes_by_rail(
+    const Tracer& tracer) {
+  std::map<RailId, std::uint64_t> out;
+  for (const TraceRecord& r : tracer.snapshot())
+    if (r.event == TraceEvent::BulkTx && r.node == 0) out[r.rail] += r.c;
   return out;
 }
 

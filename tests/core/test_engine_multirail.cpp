@@ -1,6 +1,6 @@
-// Multirail and traffic-class tests: bulk splitting policies over
-// homogeneous and heterogeneous rails, class→rail assignment, and dynamic
-// re-assignment (paper §2).
+// Multirail and traffic-class tests: bulk placement (Stripe and SingleRail)
+// over homogeneous and heterogeneous rails, class→rail assignment, and
+// dynamic re-assignment (paper §2).
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
@@ -11,6 +11,7 @@
 namespace mado::core {
 namespace {
 
+using testing::bulk_tx_bytes_by_rail;
 using testing::pattern;
 using testing::recv_bytes;
 using testing::send_bytes;
@@ -30,28 +31,32 @@ class MultirailTest : public ::testing::Test {
 };
 
 TEST_F(MultirailTest, TwoRailsRoundTrip) {
-  EngineConfig cfg;
-  cfg.multirail = MultirailPolicy::DynamicSplit;
-  build(cfg, 2);
+  build(EngineConfig{}, 2);
   EXPECT_EQ(world_->node(0).rail_count(1), 2u);
   const Bytes data = pattern(64 * 1024);
   send_bytes(a_, data);
   EXPECT_EQ(recv_bytes(b_, data.size()), data);
 }
 
-TEST_F(MultirailTest, DynamicSplitUsesAllRails) {
+TEST_F(MultirailTest, StripeUsesAllRails) {
   EngineConfig cfg;
-  cfg.multirail = MultirailPolicy::DynamicSplit;
   cfg.rdv_chunk = 4096;
   build(cfg, 2);
+  Tracer tracer(1 << 12);
+  world_->node(0).set_tracer(&tracer);
   const Bytes data = pattern(128 * 1024);
   send_bytes(a_, data);
   EXPECT_EQ(recv_bytes(b_, data.size()), data);
-  // Both rails carried bulk traffic: check per-endpoint counters via the
-  // aggregate (32 chunks cannot all have gone over one rail and still have
-  // left the shared pool empty at flush with depth-1 tracks).
+  EXPECT_TRUE(world_->node(0).flush());
   EXPECT_EQ(world_->node(0).pending_bulk_chunks(1), 0u);
   EXPECT_EQ(world_->node(1).stats().counter("rx.bulk_chunks"), 32u);
+  world_->node(0).set_tracer(nullptr);
+  // Both rails carried bulk traffic, and together exactly the payload.
+  const auto by_rail = bulk_tx_bytes_by_rail(tracer);
+  ASSERT_EQ(by_rail.size(), 2u);
+  EXPECT_GT(by_rail.at(0), 0u);
+  EXPECT_GT(by_rail.at(1), 0u);
+  EXPECT_EQ(by_rail.at(0) + by_rail.at(1), data.size());
 }
 
 TEST_F(MultirailTest, SingleRailPolicyKeepsBulkOnOneRail) {
@@ -59,24 +64,22 @@ TEST_F(MultirailTest, SingleRailPolicyKeepsBulkOnOneRail) {
   cfg.multirail = MultirailPolicy::SingleRail;
   cfg.rdv_chunk = 4096;
   build(cfg, 2);
+  Tracer tracer(1 << 12);
+  world_->node(0).set_tracer(&tracer);
   const Bytes data = pattern(64 * 1024);
   send_bytes(a_, data);
   EXPECT_EQ(recv_bytes(b_, data.size()), data);
-}
-
-TEST_F(MultirailTest, StaticSplitDelivers) {
-  EngineConfig cfg;
-  cfg.multirail = MultirailPolicy::StaticSplit;
-  cfg.rdv_chunk = 4096;
-  build(cfg, 2);
-  const Bytes data = pattern(96 * 1024);
-  send_bytes(a_, data);
-  EXPECT_EQ(recv_bytes(b_, data.size()), data);
+  EXPECT_TRUE(world_->node(0).flush());
+  world_->node(0).set_tracer(nullptr);
+  // Idle rails never steal under SingleRail: rail 0 (the Bulk class rail)
+  // carried every chunk.
+  const auto by_rail = bulk_tx_bytes_by_rail(tracer);
+  ASSERT_EQ(by_rail.size(), 1u);
+  EXPECT_EQ(by_rail.at(0), data.size());
 }
 
 TEST_F(MultirailTest, HeterogeneousRailsMxPlusElan) {
   EngineConfig cfg;
-  cfg.multirail = MultirailPolicy::DynamicSplit;
   cfg.rdv_chunk = 16 * 1024;
   cfg.rdv_threshold_override = 32 * 1024;
   world_ = std::make_unique<SimWorld>(2, cfg);
@@ -89,7 +92,7 @@ TEST_F(MultirailTest, HeterogeneousRailsMxPlusElan) {
   EXPECT_EQ(recv_bytes(b_, data.size()), data);
 }
 
-TEST_F(MultirailTest, DynamicBeatsSingleRailOnBandwidth) {
+TEST_F(MultirailTest, StripeBeatsSingleRailOnBandwidth) {
   auto run = [&](MultirailPolicy pol) {
     EngineConfig cfg;
     cfg.multirail = pol;
@@ -102,9 +105,9 @@ TEST_F(MultirailTest, DynamicBeatsSingleRailOnBandwidth) {
     return world_->now();
   };
   const Nanos single = run(MultirailPolicy::SingleRail);
-  const Nanos dynamic = run(MultirailPolicy::DynamicSplit);
-  // Two equal rails: dynamic split should approach half the time.
-  EXPECT_LT(dynamic, single * 3 / 4);
+  const Nanos stripe = run(MultirailPolicy::Stripe);
+  // Two equal rails: striping should approach half the time.
+  EXPECT_LT(stripe, single * 3 / 4);
 }
 
 TEST_F(MultirailTest, ClassRailAssignmentRoutesEagerTraffic) {

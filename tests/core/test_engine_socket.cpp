@@ -93,7 +93,6 @@ TEST_F(SocketEngineTest, BidirectionalConcurrent) {
 
 TEST_F(SocketEngineTest, MultirailOverSockets) {
   EngineConfig cfg;
-  cfg.multirail = MultirailPolicy::DynamicSplit;
   cfg.rdv_chunk = 64 * 1024;
   build(cfg, /*rails=*/2);
   EXPECT_EQ(world_->node(0).rail_count(1), 2u);

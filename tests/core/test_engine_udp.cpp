@@ -101,7 +101,6 @@ TEST_F(UdpEngineTest, BidirectionalLossyTraffic) {
 
 TEST_F(UdpEngineTest, StripeAcrossTwoUdpRails) {
   EngineConfig cfg;
-  cfg.multirail = MultirailPolicy::DynamicSplit;
   cfg.rdv_chunk = 64 * 1024;
   build(cfg, /*rails=*/2);
   EXPECT_EQ(world_->node(0).rail_count(1), 2u);
@@ -121,7 +120,6 @@ TEST_F(UdpEngineTest, FailoverDrainsToSurvivingRail) {
   // must replay the dead rail's in-flight chunks on the survivor and the
   // message must still arrive byte-exact, exactly once.
   EngineConfig cfg;
-  cfg.multirail = MultirailPolicy::DynamicSplit;
   cfg.rdv_chunk = 64 * 1024;
   build(cfg, /*rails=*/2);
   const Bytes data = pattern(2 << 20, 5);

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <numeric>
 #include <vector>
 
@@ -34,6 +33,7 @@ namespace {
 using strategy_detail::StripeRail;
 using strategy_detail::stripe_rail_rate;
 using strategy_detail::stripe_shares;
+using testing::bulk_tx_bytes_by_rail;
 using testing::pattern;
 using testing::recv_bytes;
 using testing::send_bytes;
@@ -184,14 +184,6 @@ TEST(StripeModel, RandomizedInvariants) {
 
 // ---- engine layer ----------------------------------------------------------
 
-/// Count BulkTx bytes per rail from a tracer attached to the sender.
-std::map<RailId, std::uint64_t> bulk_tx_bytes_by_rail(const Tracer& tracer) {
-  std::map<RailId, std::uint64_t> out;
-  for (const TraceRecord& r : tracer.snapshot())
-    if (r.event == TraceEvent::BulkTx && r.node == 0) out[r.rail] += r.c;
-  return out;
-}
-
 TEST(StripeEngine, HeterogeneousRailsShareOneTransfer) {
   SimWorld world(2, stripe_cfg());
   world.connect(0, 1, drv::tcp_gige_profile());   // rail 0: ~110 B/us
@@ -259,23 +251,6 @@ TEST(StripeEngine, IdleRailStealsFromMispredictedPlan) {
   EXPECT_TRUE(world.node(0).flush());
   EXPECT_GT(world.node(0).stats().counter("stripe.steals"), 0u)
       << "the idle rail should rob the mispredicted queue";
-}
-
-TEST(StripeEngine, StealDisabledKeepsThePlan) {
-  EngineConfig cfg = stripe_cfg();
-  cfg.stripe.steal = false;
-  SimWorld world(2, cfg);
-  drv::Capabilities lying = drv::mx_myrinet_profile();
-  lying.bandwidth_hint_bytes_per_us = lying.cost.link_bytes_per_us * 10.0;
-  world.connect(0, 1, lying);
-  world.connect(0, 1, drv::mx_myrinet_profile());
-  Channel a = world.node(0).open_channel(1, 7, TrafficClass::Bulk);
-  Channel b = world.node(1).open_channel(0, 7, TrafficClass::Bulk);
-  const Bytes big = pattern(2u << 20, 9);
-  send_bytes(a, big, SendMode::Later);
-  EXPECT_EQ(recv_bytes(b, big.size()), big);
-  EXPECT_TRUE(world.node(0).flush());
-  EXPECT_EQ(world.node(0).stats().counter("stripe.steals"), 0u);
 }
 
 TEST(StripeEngine, SingleRailDegeneratesCleanly) {
@@ -361,7 +336,6 @@ void run_stripe_soak(std::uint64_t seed) {
   cfg.reliability = true;
   cfg.payload_crc = true;
   cfg.rdv_chunk = 8 * 1024;
-  cfg.stripe.min_chunk = 4 * 1024;
   SimWorld world(2, cfg);
 
   const drv::Capabilities profiles[] = {drv::mx_myrinet_profile(),
