@@ -22,8 +22,8 @@
 // oversubscription).
 //
 // Also measured: single-thread single-peer submit-to-complete latency over
-// the loopback driver (pure engine-path cost, no timing model, no second
-// thread) — the sharding must leave this flat.
+// the in-process shm driver (pure engine-path cost, no timing model, no
+// second thread) — the sharding must leave this flat.
 //
 // ISSUE 6 adds --progress-threads N: every engine (hub and peers) runs N
 // shard-owning progress threads instead of one. With N > 1 the scaling gate
@@ -52,7 +52,6 @@
 
 #include "core/engine.hpp"
 #include "core/timer_host.hpp"
-#include "drivers/loopback_driver.hpp"
 #include "drivers/profiles.hpp"
 #include "drivers/shm_driver.hpp"
 
@@ -188,15 +187,15 @@ SweepPoint run_sweep(std::size_t threads, std::size_t npeers,
   return p;
 }
 
-/// Single-thread single-peer submit-to-complete latency over loopback: no
+/// Single-thread single-peer submit-to-complete latency over shm: no
 /// progress threads, no timing model — the measuring thread pumps the hub
 /// engine itself, so the number is the pure engine-path cost the sharding
 /// must not regress.
-double run_loopback_latency_ns(std::size_t iters, const EngineConfig& cfg) {
+double run_shm_latency_ns(std::size_t iters, const EngineConfig& cfg) {
   RealTimerHost th_hub, th_peer;
   Engine hub(0, cfg, th_hub);
   Engine peer(1, cfg, th_peer);
-  auto pair = drv::LoopbackEndpoint::make_pair(drv::mx_myrinet_profile());
+  auto pair = drv::ShmEndpoint::make_pair(drv::mx_myrinet_profile());
   hub.add_rail(1, std::move(pair.a));
   peer.add_rail(0, std::move(pair.b));
   Channel ch = hub.open_channel(1, 7);
@@ -290,9 +289,9 @@ int main(int argc, char** argv) {
   }
 
   const double lat_ns =
-      run_loopback_latency_ns(smoke ? 2000 : 20000, cfg);
+      run_shm_latency_ns(smoke ? 2000 : 20000, cfg);
   emit(out,
-       "{\"bench\":\"e12_concurrency\",\"transport\":\"loopback\","
+       "{\"bench\":\"e12_concurrency\",\"transport\":\"shm\","
        "\"threads\":1,\"peers\":1,\"msg_bytes\":%zu,"
        "\"submit_to_complete_ns\":%.0f}\n",
        kMsgBytes, lat_ns);
@@ -304,9 +303,9 @@ int main(int argc, char** argv) {
   EngineConfig cfg_no_ring = cfg;
   cfg_no_ring.submit_ring = 0;
   const double lat_no_ring_ns =
-      run_loopback_latency_ns(smoke ? 2000 : 20000, cfg_no_ring);
+      run_shm_latency_ns(smoke ? 2000 : 20000, cfg_no_ring);
   emit(out,
-       "{\"bench\":\"e12_concurrency\",\"transport\":\"loopback\","
+       "{\"bench\":\"e12_concurrency\",\"transport\":\"shm\","
        "\"threads\":1,\"peers\":1,\"msg_bytes\":%zu,\"submit_ring\":0,"
        "\"submit_to_complete_ns\":%.0f}\n",
        kMsgBytes, lat_no_ring_ns);
@@ -324,7 +323,7 @@ int main(int argc, char** argv) {
        "{\"bench\":\"e12_concurrency\",\"summary\":true,"
        "\"progress_threads\":%zu,"
        "\"scaling_8x8_vs_1x1\":%.2f,\"required\":%.2f,"
-       "\"loopback_latency_ns\":%.0f,\"hw_threads\":%u}\n",
+       "\"shm_latency_ns\":%.0f,\"hw_threads\":%u}\n",
        progress_threads, scaling, required, lat_ns, hw);
   if (out) std::fclose(out);
 

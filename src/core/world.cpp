@@ -21,6 +21,13 @@ EngineConfig threaded_config(EngineConfig cfg) {
   }
   return cfg;
 }
+
+/// UDP rails are lossy: the engine's reliability layer IS the loss
+/// recovery, so it is not optional there (add_rail would refuse).
+EngineConfig with_reliability(EngineConfig cfg) {
+  cfg.reliability = true;
+  return cfg;
+}
 }  // namespace
 
 SimWorld::SimWorld(std::size_t nodes, const EngineConfig& cfg)
@@ -72,73 +79,47 @@ drv::SimEndpoint& SimWorld::endpoint(NodeId a, NodeId b, RailId rail) {
   return *it->second;
 }
 
+ThreadedWorld::ThreadedWorld(const EngineConfig& cfg, std::size_t rails,
+                             const std::function<RailPair()>& make_rail)
+    : endpoints_(2) {
+  const EngineConfig tcfg = threaded_config(cfg);
+  for (NodeId i = 0; i < 2; ++i) {
+    timers_.push_back(std::make_unique<RealTimerHost>());
+    engines_.push_back(std::make_unique<Engine>(i, tcfg, *timers_.back()));
+  }
+  for (std::size_t r = 0; r < rails; ++r) {
+    RailPair pair = make_rail();
+    endpoints_[0].push_back(pair.first.get());
+    endpoints_[1].push_back(pair.second.get());
+    engines_[0]->add_rail(1, std::move(pair.first));
+    engines_[1]->add_rail(0, std::move(pair.second));
+  }
+  for (auto& e : engines_) e->start_progress_thread();
+}
+
+ThreadedWorld::~ThreadedWorld() {
+  for (auto& e : engines_) e->stop_progress_thread();
+}
+
 SocketWorld::SocketWorld(const EngineConfig& cfg,
-                         const drv::Capabilities& caps, std::size_t rails) {
-  const EngineConfig tcfg = threaded_config(cfg);
-  for (NodeId i = 0; i < 2; ++i) {
-    timers_.push_back(std::make_unique<RealTimerHost>());
-    engines_.push_back(std::make_unique<Engine>(i, tcfg, *timers_.back()));
-  }
-  for (std::size_t r = 0; r < rails; ++r) {
-    auto pair = drv::SocketEndpoint::make_pair(caps);
-    engines_[0]->add_rail(1, std::move(pair.a));
-    engines_[1]->add_rail(0, std::move(pair.b));
-  }
-  engines_[0]->start_progress_thread();
-  engines_[1]->start_progress_thread();
-}
+                         const drv::Capabilities& caps, std::size_t rails)
+    : ThreadedWorld(cfg, rails, [&caps] {
+        auto pair = drv::SocketEndpoint::make_pair(caps);
+        return RailPair(std::move(pair.a), std::move(pair.b));
+      }) {}
 
-SocketWorld::~SocketWorld() {
-  engines_[0]->stop_progress_thread();
-  engines_[1]->stop_progress_thread();
-}
-
-ShmWorld::ShmWorld(const EngineConfig& cfg, std::size_t rails) {
-  const EngineConfig tcfg = threaded_config(cfg);
-  for (NodeId i = 0; i < 2; ++i) {
-    timers_.push_back(std::make_unique<RealTimerHost>());
-    engines_.push_back(std::make_unique<Engine>(i, tcfg, *timers_.back()));
-  }
-  for (std::size_t r = 0; r < rails; ++r) {
-    auto pair = drv::ShmEndpoint::make_pair();
-    engines_[0]->add_rail(1, std::move(pair.a));
-    engines_[1]->add_rail(0, std::move(pair.b));
-  }
-  engines_[0]->start_progress_thread();
-  engines_[1]->start_progress_thread();
-}
-
-ShmWorld::~ShmWorld() {
-  engines_[0]->stop_progress_thread();
-  engines_[1]->stop_progress_thread();
-}
+ShmWorld::ShmWorld(const EngineConfig& cfg, std::size_t rails)
+    : ThreadedWorld(cfg, rails, [] {
+        auto pair = drv::ShmEndpoint::make_pair();
+        return RailPair(std::move(pair.a), std::move(pair.b));
+      }) {}
 
 UdpWorld::UdpWorld(const EngineConfig& cfg, std::size_t rails,
-                   const drv::UdpConfig& ucfg) {
-  EngineConfig tcfg = threaded_config(cfg);
-  // UDP rails are lossy: the engine's reliability layer IS the loss
-  // recovery, so it is not optional here (add_rail would refuse).
-  tcfg.reliability = true;
-  for (NodeId i = 0; i < 2; ++i) {
-    timers_.push_back(std::make_unique<RealTimerHost>());
-    engines_.push_back(std::make_unique<Engine>(i, tcfg, *timers_.back()));
-  }
-  endpoints_.resize(2);
-  const drv::Capabilities caps = drv::udp_loopback_profile();
-  for (std::size_t r = 0; r < rails; ++r) {
-    auto pair = drv::UdpEndpoint::make_pair(caps, ucfg);
-    endpoints_[0].push_back(pair.a.get());
-    endpoints_[1].push_back(pair.b.get());
-    engines_[0]->add_rail(1, std::move(pair.a));
-    engines_[1]->add_rail(0, std::move(pair.b));
-  }
-  engines_[0]->start_progress_thread();
-  engines_[1]->start_progress_thread();
-}
-
-UdpWorld::~UdpWorld() {
-  engines_[0]->stop_progress_thread();
-  engines_[1]->stop_progress_thread();
-}
+                   const drv::UdpConfig& ucfg)
+    : ThreadedWorld(with_reliability(cfg), rails, [&ucfg] {
+        auto pair =
+            drv::UdpEndpoint::make_pair(drv::udp_loopback_profile(), ucfg);
+        return RailPair(std::move(pair.a), std::move(pair.b));
+      }) {}
 
 }  // namespace mado::core

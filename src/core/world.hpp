@@ -4,14 +4,16 @@
 // deterministic, driven cooperatively (every blocking engine call pumps the
 // fabric through the external-progress hook).
 //
-// SocketWorld: two engines over real socketpair rails with progress
-// threads; used to validate the engine against genuine asynchrony.
+// ThreadedWorld (SocketWorld, ShmWorld, UdpWorld): two engines over real
+// drivers with progress threads; used to validate the engine against
+// genuine asynchrony.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -71,58 +73,63 @@ class SimWorld {
   std::map<std::tuple<NodeId, NodeId, RailId>, drv::SimEndpoint*> endpoints_;
 };
 
-class SocketWorld {
+/// Two engines (ids 0 and 1) joined by `rails` rail pairs, each engine
+/// driven by its own progress threads, which start immediately and stop on
+/// destruction. The threaded worlds below differ only in how they make one
+/// rail pair.
+class ThreadedWorld {
  public:
-  /// Two nodes (ids 0 and 1) joined by `rails` socketpair rails carrying
-  /// `caps`. Progress threads start immediately.
-  explicit SocketWorld(const EngineConfig& cfg,
-                       const drv::Capabilities& caps, std::size_t rails = 1);
-  ~SocketWorld();
-
   Engine& node(NodeId i) { return *engines_.at(i); }
 
- private:
-  std::vector<std::unique_ptr<RealTimerHost>> timers_;
-  std::vector<std::unique_ptr<Engine>> engines_;
-};
+ protected:
+  using RailPair = std::pair<std::unique_ptr<drv::DriverEndpoint>,
+                             std::unique_ptr<drv::DriverEndpoint>>;
 
-/// Two engines on one node talking through the shared-memory driver (the
-/// intra-node transport); progress threads start immediately. Use for
-/// thread-to-thread communication within one process.
-class ShmWorld {
- public:
-  explicit ShmWorld(const EngineConfig& cfg, std::size_t rails = 1);
-  ~ShmWorld();
+  ThreadedWorld(const EngineConfig& cfg, std::size_t rails,
+                const std::function<RailPair()>& make_rail);
+  ~ThreadedWorld();
 
-  Engine& node(NodeId i) { return *engines_.at(i); }
-
- private:
-  std::vector<std::unique_ptr<RealTimerHost>> timers_;
-  std::vector<std::unique_ptr<Engine>> engines_;
-};
-
-/// Two engines joined by real UDP loopback rails (lossy datagrams, ordered
-/// release in the driver, loss recovered by the engine's go-back-N layer —
-/// reliability is forced on because Engine::add_rail rejects a lossy rail
-/// without it). Progress threads start immediately. Exposes the raw
-/// endpoints so tests can inject receive-side loss or link failures.
-class UdpWorld {
- public:
-  explicit UdpWorld(const EngineConfig& cfg, std::size_t rails = 1,
-                    const drv::UdpConfig& ucfg = {});
-  ~UdpWorld();
-
-  Engine& node(NodeId i) { return *engines_.at(i); }
-  /// The `node`-side endpoint of rail `rail` (0-based, in creation order).
-  drv::UdpEndpoint& endpoint(NodeId node, std::size_t rail = 0) {
+  /// The `node`-side endpoint of rail `rail` (the engine owns it).
+  drv::DriverEndpoint& rail_endpoint(NodeId node, std::size_t rail) {
     return *endpoints_.at(node).at(rail);
   }
 
  private:
   std::vector<std::unique_ptr<RealTimerHost>> timers_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  /// endpoints_[node][rail], non-owning (engines own them).
-  std::vector<std::vector<drv::UdpEndpoint*>> endpoints_;
+  std::vector<std::vector<drv::DriverEndpoint*>> endpoints_;
+};
+
+/// Two engines over real socketpair rails carrying `caps`; used to validate
+/// the engine against genuine asynchrony.
+class SocketWorld : public ThreadedWorld {
+ public:
+  explicit SocketWorld(const EngineConfig& cfg,
+                       const drv::Capabilities& caps, std::size_t rails = 1);
+};
+
+/// Two engines on one node talking through the in-process shm driver (the
+/// intra-node transport). Use for thread-to-thread communication within one
+/// process.
+class ShmWorld : public ThreadedWorld {
+ public:
+  explicit ShmWorld(const EngineConfig& cfg, std::size_t rails = 1);
+};
+
+/// Two engines joined by real UDP loopback rails (lossy datagrams, ordered
+/// release in the driver, loss recovered by the engine's go-back-N layer —
+/// reliability is forced on because Engine::add_rail rejects a lossy rail
+/// without it). Exposes the raw endpoints so tests can inject receive-side
+/// loss or link failures.
+class UdpWorld : public ThreadedWorld {
+ public:
+  explicit UdpWorld(const EngineConfig& cfg, std::size_t rails = 1,
+                    const drv::UdpConfig& ucfg = {});
+
+  /// The `node`-side endpoint of rail `rail` (0-based, in creation order).
+  drv::UdpEndpoint& endpoint(NodeId node, std::size_t rail = 0) {
+    return static_cast<drv::UdpEndpoint&>(rail_endpoint(node, rail));
+  }
 };
 
 }  // namespace mado::core

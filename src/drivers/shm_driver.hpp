@@ -7,7 +7,8 @@
 // frame directly into the peer's inbox and the completion into the local
 // outbox; both are delivered by the respective progress() calls, which
 // keeps the driver contract (no synchronous callbacks) and makes the
-// driver usable from both cooperative and threaded worlds.
+// driver usable from both cooperative and threaded worlds. It is the one
+// in-process driver: manually pumped single-thread tests use it too.
 #pragma once
 
 #include <cstdint>

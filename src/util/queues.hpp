@@ -1,20 +1,17 @@
 // Queues used at the driver/engine boundary.
 //
-// SpscRing<T>:  lock-free single-producer single-consumer ring with a fixed
-//               power-of-two capacity; used between a driver IO thread and
-//               the engine's progress loop.
 // MpmcRing<T>:  lock-free bounded multi-producer multi-consumer ring
 //               (Vyukov's sequence-stamped design); used as the per-peer
 //               submit ring so application threads can enqueue messages
 //               without ever contending with the progressor's peer lock.
 // MpscQueue<T>: mutex-protected multi-producer single-consumer queue with
 //               optional blocking pop; used for completion delivery where
-//               multiple IO threads feed one progress loop.
+//               multiple IO threads feed one progress loop, and as the shm
+//               driver's inbox and outbox.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <mutex>
@@ -25,58 +22,6 @@
 #include "util/assert.hpp"
 
 namespace mado {
-
-template <typename T>
-class SpscRing {
- public:
-  /// capacity must be a power of two; the ring holds capacity-1 elements.
-  explicit SpscRing(std::size_t capacity) : buf_(capacity), mask_(capacity - 1) {
-    MADO_CHECK_MSG(capacity >= 2 && (capacity & (capacity - 1)) == 0,
-                   "capacity must be a power of two");
-  }
-
-  /// Producer side. Returns false if full.
-  bool try_push(T v) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t next = (head + 1) & mask_;
-    if (next == tail_.load(std::memory_order_acquire)) return false;
-    buf_[head] = std::move(v);
-    head_.store(next, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side. Returns nullopt if empty.
-  std::optional<T> try_pop() {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == head_.load(std::memory_order_acquire)) return std::nullopt;
-    T v = std::move(buf_[tail]);
-    // Reset the slot: a moved-from T may still own resources (e.g. a Bytes
-    // payload whose buffer the move left behind, or a shared_ptr a given
-    // type's move merely copied). Without this, a quiet ring pins the last
-    // popped element's resources until the slot is overwritten — a
-    // lifetime leak the consumer cannot see.
-    buf_[tail] = T();
-    tail_.store((tail + 1) & mask_, std::memory_order_release);
-    return v;
-  }
-
-  bool empty() const {
-    return tail_.load(std::memory_order_acquire) ==
-           head_.load(std::memory_order_acquire);
-  }
-
-  std::size_t size() const {
-    const std::size_t h = head_.load(std::memory_order_acquire);
-    const std::size_t t = tail_.load(std::memory_order_acquire);
-    return (h - t) & mask_;
-  }
-
- private:
-  std::vector<T> buf_;
-  std::size_t mask_;
-  alignas(64) std::atomic<std::size_t> head_{0};
-  alignas(64) std::atomic<std::size_t> tail_{0};
-};
 
 /// Bounded lock-free MPMC ring after Dmitry Vyukov's design: every slot
 /// carries a sequence stamp so producers and consumers claim slots with one
@@ -149,7 +94,11 @@ class MpmcRing {
     }
     Slot& s = slots_[pos & mask_];
     T v = std::move(s.value);
-    s.value = T();  // see SpscRing::try_pop for why moved-from slots reset
+    // Reset the slot: a moved-from T may still own resources (e.g. a Bytes
+    // payload whose buffer the move left behind, or a shared_ptr a given
+    // type's move merely copied). Without this, a quiet ring pins the last
+    // popped element's resources until the slot is overwritten a lap later.
+    s.value = T();
     s.seq.store(pos + mask_ + 1, std::memory_order_release);
     return v;
   }
@@ -189,16 +138,6 @@ class MpscQueue {
   std::optional<T> try_pop() {
     std::lock_guard<std::mutex> lk(mu_);
     if (q_.empty()) return std::nullopt;
-    T v = std::move(q_.front());
-    q_.pop_front();
-    return v;
-  }
-
-  /// Pop, waiting up to `timeout`. Returns nullopt on timeout.
-  std::optional<T> pop_wait(std::chrono::nanoseconds timeout) {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!cv_.wait_for(lk, timeout, [&] { return !q_.empty(); }))
-      return std::nullopt;
     T v = std::move(q_.front());
     q_.pop_front();
     return v;

@@ -1,12 +1,13 @@
-// Manual progression mode: engines over the loopback driver with neither a
-// simulation fabric nor progress threads — every blocking call pumps its
-// own engine's progress() internally (the library-embedded usage mode).
+// Manual progression mode: engines over the in-process shm driver with
+// neither a simulation fabric nor progress threads — every blocking call
+// pumps its own engine's progress() internally (the library-embedded usage
+// mode).
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
 #include "core/timer_host.hpp"
-#include "drivers/loopback_driver.hpp"
 #include "drivers/profiles.hpp"
+#include "drivers/shm_driver.hpp"
 #include "tests/core/engine_test_util.hpp"
 
 namespace mado::core {
@@ -19,7 +20,7 @@ class LoopbackEngineTest : public ::testing::Test {
   void SetUp() override {
     a_ = std::make_unique<Engine>(0, EngineConfig{}, timers_a_);
     b_ = std::make_unique<Engine>(1, EngineConfig{}, timers_b_);
-    auto pair = drv::LoopbackEndpoint::make_pair(drv::test_profile());
+    auto pair = drv::ShmEndpoint::make_pair(drv::test_profile());
     a_->add_rail(1, std::move(pair.a));
     b_->add_rail(0, std::move(pair.b));
     cha_ = a_->open_channel(1, 7);
