@@ -138,8 +138,8 @@ struct EngineConfig {
   std::size_t prog_yield_laps = 64;
 
   /// Upper bound for one parked wait. Submit/completion activity notifies
-  /// the cv, but driver IO threads cannot (they only feed queues that
-  /// progress() polls), so the park must stay bounded.
+  /// the cv, but a driver that only feeds queues progress() polls (UDP's
+  /// IO loop) cannot, so the park must stay bounded.
   Nanos prog_idle_wait = 100 * kNanosPerMicro;
 };
 

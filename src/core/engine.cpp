@@ -73,12 +73,21 @@ Engine::Engine(NodeId self, EngineConfig cfg, TimerHost& timers)
 Engine::~Engine() {
   stop_progress_thread();
   alive_->store(false);
-  std::unique_lock<std::shared_mutex> lk(peers_mu_);
-  for (auto& [id, ps] : peers_) {
-    std::lock_guard<std::mutex> plk(ps->mu);
-    for (auto& rail : ps->rails)
-      if (rail->ep) rail->ep->close();
+  // Snapshot the endpoints under the locks, close them outside: close()
+  // waits for a driver IO thread that may itself be inside a callback,
+  // blocked on peers_mu_ or a peer lock. Taking every peer lock once also
+  // fences the callbacks: any that acquires one after this pass sees
+  // alive_ false and returns without sending on a rail being closed.
+  std::vector<drv::DriverEndpoint*> eps;
+  {
+    std::unique_lock<std::shared_mutex> lk(peers_mu_);
+    for (auto& [id, ps] : peers_) {
+      std::lock_guard<std::mutex> plk(ps->mu);
+      for (auto& rail : ps->rails)
+        if (rail->ep) eps.push_back(rail->ep.get());
+    }
   }
+  for (drv::DriverEndpoint* ep : eps) ep->close();
 }
 
 // ---- topology -------------------------------------------------------------
@@ -736,6 +745,7 @@ void Engine::on_send_complete(NodeId peer, RailId rail_id, drv::TrackId track,
   if (!ps) return;  // torn down
   {
     PeerLock lk(*ps);
+    if (!alive_->load(std::memory_order_acquire)) return;  // being destroyed
     apply_send_complete_locked(*ps, rail_id, track, token);
     drain_submit_ring_locked(*ps);
     if (rail_id < ps->rails.size()) {
@@ -1115,6 +1125,7 @@ void Engine::on_link_down(NodeId peer, RailId rail_id) {
   if (!ps) return;
   {
     PeerLock lk(*ps);
+    if (!alive_->load(std::memory_order_acquire)) return;  // being destroyed
     apply_link_down_locked(*ps, rail_id);
     drain_submit_ring_locked(*ps);
     pump_peer_locked(*ps);
@@ -1483,8 +1494,8 @@ void Engine::on_send_failed(NodeId peer, RailId rail_id, drv::TrackId track,
   // A send the driver will never complete means the wire under the rail is
   // gone. Failing over the whole rail replays or fails this token's record
   // together with everything else queued behind it — and is idempotent, so
-  // the burst of failures a draining tx thread emits (followed by the
-  // driver's own on_link_down) collapses into one failover.
+  // the burst of failures a broken driver emits (followed by its own
+  // on_link_down) collapses into one failover.
   on_link_down(peer, rail_id);
 }
 
@@ -1537,8 +1548,8 @@ void Engine::progress_thread_main(std::size_t idx) {
 
   // Adaptive backoff: spin (immediate re-poll) while work is fresh, yield
   // the core when a burst ends, then park on the slot's cv. The park stays
-  // bounded (park_bound) because driver IO threads cannot notify — they
-  // only feed queues the lap polls — and due timers must not oversleep.
+  // bounded (park_bound) because a driver that only feeds queues the lap
+  // polls (UDP's IO loop) cannot notify, and due timers must not oversleep.
   const std::size_t spin_laps = cfg_.prog_spin_laps;
   const std::size_t yield_laps = spin_laps + cfg_.prog_yield_laps;
   std::size_t idle = 0;

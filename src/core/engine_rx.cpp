@@ -50,6 +50,7 @@ void Engine::on_packet(NodeId peer, RailId rail_id, drv::TrackId track,
   if (!ps) return;  // torn down
   {
     PeerLock lk(*ps);
+    if (!alive_->load(std::memory_order_acquire)) return;  // being destroyed
     apply_packet_locked(*ps, rail_id, payload);
     drain_submit_ring_locked(*ps);
     // Arrivals can enqueue control fragments (CTS) or bulk chunks — pump.
@@ -91,7 +92,7 @@ void Engine::apply_packet_locked(PeerState& ps, RailId rail_id,
                       << ps.id << ": " << err.what());
   } catch (const CheckError& err) {
     // A malformed or protocol-violating packet must not take the engine
-    // down with it (the socket driver's RX thread delivers these); count
+    // down with it (the socket driver's loop thread delivers these); count
     // and drop. The CRC makes corrupted headers land here.
     ps.stats.inc("rx.malformed");
     MADO_WARN("node " << self_ << ": dropping malformed packet from peer "

@@ -48,10 +48,11 @@ void StatsSampler::start() {
   auto tick = std::make_shared<std::function<void()>>();
   *tick = [this, alive = alive_,
            weak = std::weak_ptr<std::function<void()>>(tick)] {
-    if (!alive->load()) return;
+    std::lock_guard<std::mutex> lk(alive->mu);
+    if (!alive->alive) return;
     record_tick();
     auto self = weak.lock();  // null once the sampler dropped the chain
-    if (self && alive->load())
+    if (self)
       engine_.timers().schedule_at(engine_.timers().now() + interval_, *self);
   };
   tick_ = tick;
@@ -59,7 +60,10 @@ void StatsSampler::start() {
 }
 
 void StatsSampler::stop() {
-  alive_->store(false);
+  {
+    std::lock_guard<std::mutex> lk(alive_->mu);
+    alive_->alive = false;
+  }
   std::lock_guard<std::mutex> lk(mu_);
   tick_.reset();  // break the re-arm chain; in-flight copies see !alive
 }

@@ -54,7 +54,8 @@ class StatsSampler {
   void start();
 
   /// Disarm the tick. Idempotent; safe to call concurrently with a firing
-  /// tick (the tick checks an alive flag before touching the engine).
+  /// tick: it waits for a tick already recording, and later ticks find the
+  /// alive flag cleared and touch nothing.
   void stop();
 
   Nanos interval() const { return interval_; }
@@ -83,9 +84,15 @@ class StatsSampler {
   bool started_ = false;
 
   // Liveness handshake with in-flight timer closures: TimerHost cannot
-  // cancel, so scheduled ticks hold this flag weakly and bail once cleared.
-  std::shared_ptr<std::atomic<bool>> alive_ =
-      std::make_shared<std::atomic<bool>>(true);
+  // cancel, so scheduled ticks share this flag and bail once it is
+  // cleared. A tick holds `mu` from its check through its last use of the
+  // sampler, so once stop() has cleared the flag under `mu` no tick is
+  // still touching a sampler that may be gone.
+  struct Liveness {
+    std::mutex mu;
+    bool alive = true;
+  };
+  std::shared_ptr<Liveness> alive_ = std::make_shared<Liveness>();
   // Strong owner of the tick chain; scheduled copies capture a weak_ptr so
   // the closure never owns itself (see Engine::set_auto_rebalance).
   std::shared_ptr<std::function<void()>> tick_;

@@ -99,12 +99,19 @@ ThreadedWorld::ThreadedWorld(const EngineConfig& cfg, std::size_t rails,
 
 ThreadedWorld::~ThreadedWorld() {
   for (auto& e : engines_) e->stop_progress_thread();
+  // Node 0 closes its rails first. Node 1 stops listening before that, so
+  // an IO thread does not report those closes to it as link failures
+  // (failover, warnings) while it waits for its own teardown.
+  for (drv::DriverEndpoint* ep : endpoints_[1]) ep->set_handler(nullptr);
+  engines_[0].reset();
+  engines_[1].reset();
 }
 
 SocketWorld::SocketWorld(const EngineConfig& cfg,
                          const drv::Capabilities& caps, std::size_t rails)
-    : ThreadedWorld(cfg, rails, [&caps] {
-        auto pair = drv::SocketEndpoint::make_pair(caps);
+    : ThreadedWorld(cfg, rails, [&caps, loop = drv::IoLoop::create()] {
+        // Every rail shares the one loop; its endpoints keep it alive.
+        auto pair = drv::SocketEndpoint::make_pair(loop, caps, caps);
         return RailPair(std::move(pair.a), std::move(pair.b));
       }) {}
 
@@ -116,10 +123,13 @@ ShmWorld::ShmWorld(const EngineConfig& cfg, std::size_t rails)
 
 UdpWorld::UdpWorld(const EngineConfig& cfg, std::size_t rails,
                    const drv::UdpConfig& ucfg)
-    : ThreadedWorld(with_reliability(cfg), rails, [&ucfg] {
-        auto pair =
-            drv::UdpEndpoint::make_pair(drv::udp_loopback_profile(), ucfg);
-        return RailPair(std::move(pair.a), std::move(pair.b));
-      }) {}
+    : ThreadedWorld(with_reliability(cfg), rails,
+                    [&ucfg, loop = drv::IoLoop::create()] {
+                      const drv::Capabilities caps =
+                          drv::udp_loopback_profile();
+                      auto pair =
+                          drv::UdpEndpoint::make_pair(loop, caps, caps, ucfg);
+                      return RailPair(std::move(pair.a), std::move(pair.b));
+                    }) {}
 
 }  // namespace mado::core

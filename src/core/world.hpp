@@ -6,7 +6,8 @@
 //
 // ThreadedWorld (SocketWorld, ShmWorld, UdpWorld): two engines over real
 // drivers with progress threads; used to validate the engine against
-// genuine asynchrony.
+// genuine asynchrony. Socket and UDP worlds own one IoLoop thread that
+// serves every fd of the world.
 #pragma once
 
 #include <functional>
@@ -100,8 +101,9 @@ class ThreadedWorld {
   std::vector<std::vector<drv::DriverEndpoint*>> endpoints_;
 };
 
-/// Two engines over real socketpair rails carrying `caps`; used to validate
-/// the engine against genuine asynchrony.
+/// Two engines over real socketpair rails carrying `caps`, all served by
+/// the world's one IoLoop thread; used to validate the engine against
+/// genuine asynchrony.
 class SocketWorld : public ThreadedWorld {
  public:
   explicit SocketWorld(const EngineConfig& cfg,

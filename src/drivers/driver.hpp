@@ -5,9 +5,12 @@
 //
 //  1. send() never invokes handler callbacks synchronously. Completions and
 //     arrivals are delivered later — from Fabric::step() for the simulated
-//     driver, from progress() for thread-backed drivers.
-//  2. Handler callbacks are invoked WITHOUT any engine lock held; the
-//     engine re-acquires its own lock inside the callback.
+//     driver, from progress() for the shm and UDP drivers, or from the
+//     driver's own IO thread (the socket driver's IoLoop) — and never from
+//     inside send().
+//  2. Handler callbacks are invoked WITHOUT any engine lock held, and
+//     without any lock of the driver's own; the engine re-acquires its own
+//     lock inside the callback and may call send() from there.
 //  3. Per track, completions are reported in send order, and packets are
 //     delivered to the peer in send order (tracks are FIFO channels).
 //     No ordering holds ACROSS tracks.
@@ -38,9 +41,10 @@ class EndpointHandler {
   /// A queued send will never complete: the wire broke while (or before)
   /// the driver was transmitting it. Fired exactly once per affected token
   /// — every send() gets exactly one of on_send_complete / on_send_failed —
-  /// and before the endpoint's on_link_down. Default: ignore (the link-down
-  /// failover then sweeps up the in-flight record; lossless drivers never
-  /// call it).
+  /// and, for every send accepted before the endpoint's on_link_down, before
+  /// it (a send made after the link-down report fails after it). Default:
+  /// ignore (the link-down failover then sweeps up the in-flight record;
+  /// lossless drivers never call it).
   virtual void on_send_failed(TrackId track, std::uint64_t token) {
     (void)track;
     (void)token;
@@ -71,10 +75,13 @@ class DriverEndpoint {
                     std::uint64_t token) = 0;
 
   /// Drain pending completions/arrivals (no-op for the simulated driver,
-  /// whose events run from the shared Fabric loop).
+  /// whose events run from the shared Fabric loop, and for the socket
+  /// driver, whose IO thread delivers them).
   virtual void progress() = 0;
 
-  /// Stop background threads, if any. Idempotent.
+  /// Detach from the wire and from the handler: once close() returns, no
+  /// callback runs and none will, from progress() or from an IO thread.
+  /// Idempotent.
   virtual void close() {}
 
   /// False once the link has failed (on_link_down fired or is pending).

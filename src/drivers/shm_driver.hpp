@@ -39,6 +39,8 @@ class ShmEndpoint final : public DriverEndpoint {
   void set_handler(EndpointHandler* handler) override { handler_ = handler; }
   void send(TrackId track, const GatherList& gl, std::uint64_t token) override;
   void progress() override;
+  /// Detaches the handler: progress() delivers nothing from now on.
+  void close() override { handler_ = nullptr; }
 
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }

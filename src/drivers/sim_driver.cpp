@@ -62,6 +62,8 @@ void SimEndpoint::set_handler(EndpointHandler* handler) {
   link_->handler[side_] = handler;
 }
 
+void SimEndpoint::close() { link_->handler[side_] = nullptr; }
+
 bool SimEndpoint::link_up() const { return !link_->failed; }
 
 const FaultStats& SimEndpoint::fault_stats() const {

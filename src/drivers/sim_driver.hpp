@@ -72,6 +72,8 @@ class SimEndpoint final : public DriverEndpoint {
   void set_handler(EndpointHandler* handler) override;
   void send(TrackId track, const GatherList& gl, std::uint64_t token) override;
   void progress() override {}  // events run from the shared Fabric loop
+  /// Detaches the handler: fabric events for this side are dropped.
+  void close() override;
   std::string describe() const override;
   bool link_up() const override;
 

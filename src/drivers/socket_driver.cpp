@@ -1,7 +1,9 @@
 #include "drivers/socket_driver.hpp"
 
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -10,47 +12,57 @@
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
-#include "util/wire.hpp"
 
 namespace mado::drv {
 
 namespace {
-constexpr std::size_t kFrameHeaderLen = 1 + 4;  // track + payload length
 constexpr std::size_t kMaxFrame = 256 * 1024 * 1024;
+/// Receive buffer: frames up to this size (header included) arrive through
+/// it; larger ones are read straight into their own payload.
+constexpr std::size_t kRxBuffer = 64 * 1024;
+/// Frames gathered into one sendmsg (two iovecs each).
+constexpr std::size_t kMaxFramesPerWrite = 64;
 }  // namespace
 
 SocketEndpoint::PairResult SocketEndpoint::make_pair(
-    const Capabilities& caps_a, const Capabilities& caps_b) {
+    std::shared_ptr<IoLoop> loop, const Capabilities& caps_a,
+    const Capabilities& caps_b) {
+  MADO_CHECK_MSG(loop, "socket endpoint needs a loop");
   int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0,
+                   fds) != 0)
     throw std::system_error(errno, std::generic_category(), "socketpair");
   PairResult r;
-  r.a.reset(new SocketEndpoint(caps_a, fds[0]));
-  r.b.reset(new SocketEndpoint(caps_b, fds[1]));
+  try {
+    r.a.reset(new SocketEndpoint(loop, caps_a, fds[0]));
+  } catch (...) {
+    ::close(fds[0]);
+    ::close(fds[1]);
+    throw;
+  }
+  try {
+    r.b.reset(new SocketEndpoint(std::move(loop), caps_b, fds[1]));
+  } catch (...) {
+    ::close(fds[1]);
+    throw;
+  }
   return r;
 }
 
-SocketEndpoint::SocketEndpoint(Capabilities caps, int fd)
-    : caps_(std::move(caps)), fd_(fd) {
-  tx_thread_ = std::thread([this] { tx_loop(); });
-  rx_thread_ = std::thread([this] { rx_loop(); });
+SocketEndpoint::SocketEndpoint(std::shared_ptr<IoLoop> loop,
+                               Capabilities caps, int fd)
+    : loop_(std::move(loop)), caps_(std::move(caps)), fd_(fd) {
+  rx_buf_.resize(kRxBuffer);
+  loop_->add(this, fd_, /*ticks=*/false);
 }
 
 SocketEndpoint::~SocketEndpoint() { close(); }
 
 void SocketEndpoint::close() {
   if (!gate_.mark_closed_once()) return;
-  stop_.store(true, std::memory_order_release);
-  // The TX thread sleeps indefinitely in pop_blocking(); this sentinel is
-  // its only wake-up, so shutdown is prompt and idle endpoints cost zero
-  // wakeups in between.
-  TxItem sentinel;
-  sentinel.stop = true;
-  tx_.push(std::move(sentinel));
-  // Unblock the RX thread's read().
-  ::shutdown(fd_, SHUT_RDWR);
-  if (tx_thread_.joinable()) tx_thread_.join();
-  if (rx_thread_.joinable()) rx_thread_.join();
+  // Synchronous handshake: once it returns the loop runs none of our
+  // callbacks, so the fd and the loop-side state are ours to tear down.
+  loop_->remove(this);
   ::close(fd_);
   fd_ = -1;
 }
@@ -60,142 +72,214 @@ void SocketEndpoint::send(TrackId track, const GatherList& gl,
   MADO_CHECK(track < caps_.track_count);
   MADO_CHECK_MSG(!gate_.closed(), "send on closed endpoint");
   TxItem item;
-  item.track = track;
   item.token = token;
   item.payload = gl.flatten();  // segments only live until completion
+  MADO_CHECK_MSG(item.payload.size() <= kMaxFrame, "oversized frame");
+  const auto len = static_cast<std::uint32_t>(item.payload.size());
+  item.hdr[0] = track;
+  item.hdr[1] = static_cast<std::uint8_t>(len & 0xff);
+  item.hdr[2] = static_cast<std::uint8_t>((len >> 8) & 0xff);
+  item.hdr[3] = static_cast<std::uint8_t>((len >> 16) & 0xff);
+  item.hdr[4] = static_cast<std::uint8_t>((len >> 24) & 0xff);
   gate_.accept();
-  tx_.push(std::move(item));
+  submit_.push(std::move(item));
+  loop_->notify(this);
 }
 
-void SocketEndpoint::progress() {
-  if (!handler_) return;
-  std::vector<Event> drained;
-  events_.drain(drained);
-  for (auto& ev : drained) {
-    if (auto* done = std::get_if<EvSendComplete>(&ev)) {
-      gate_.resolve();
-      handler_->on_send_complete(done->track, done->token);
-    } else if (auto* failed = std::get_if<EvSendFailed>(&ev)) {
-      gate_.resolve();
-      handler_->on_send_failed(failed->track, failed->token);
-    } else {
-      auto& pkt = std::get<EvPacket>(ev);
-      handler_->on_packet(pkt.track, std::move(pkt.payload));
+void SocketEndpoint::on_notify() {
+  submit_.drain(fresh_);
+  for (TxItem& item : fresh_) txq_.push_back(std::move(item));
+  fresh_.clear();
+  if (dead_) {
+    fail_queued();
+    return;
+  }
+  // With EPOLLOUT armed the socket buffer is full: wait for the loop to
+  // report it writable instead of retrying into EAGAIN.
+  if (!tx_blocked_) flush_tx();
+}
+
+void SocketEndpoint::on_ready(std::uint32_t events) {
+  // Arrivals first: whatever the peer sent before a break is delivered
+  // before the break is reported.
+  if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) {
+    if (read_once() == RxResult::kClosed) {
+      break_link();
+      return;
     }
   }
-  // Teardown ordering: a peer death is reported only AFTER every packet
-  // that made it over the wire has been handed to the handler and every
-  // accepted send has been resolved (completion or failure), and exactly
-  // once. The outstanding gate matters: when the wire breaks the TX
-  // thread turns into a drain pump that fails queued items one by one —
-  // without the gate a progress() call could slip in between two of those
-  // pushes and report link-down while doomed sends still await their
-  // on_send_failed. A deliberate local close() is not a failure and is
-  // never reported. The full protocol lives in LinkDownGate (shared with
-  // the UDP driver).
-  if (gate_.should_report_link_down()) handler_->on_link_down();
+  if ((events & EPOLLOUT) && !dead_) {
+    tx_blocked_ = false;
+    flush_tx();
+  }
 }
 
-bool SocketEndpoint::write_all(const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (len > 0) {
+void SocketEndpoint::flush_tx() {
+  while (!txq_.empty()) {
+    iovec iov[2 * kMaxFramesPerWrite];
+    std::size_t cnt = 0;
+    std::size_t offered = 0;
+    std::size_t skip = tx_off_;  // only the front frame is partly sent
+    for (std::size_t i = 0; i < txq_.size() && i < kMaxFramesPerWrite; ++i) {
+      TxItem& item = txq_[i];
+      if (skip < kHeaderLen) {
+        iov[cnt++] = {item.hdr + skip, kHeaderLen - skip};
+        offered += kHeaderLen - skip;
+      }
+      const std::size_t poff = skip > kHeaderLen ? skip - kHeaderLen : 0;
+      if (poff < item.payload.size()) {
+        iov[cnt++] = {item.payload.data() + poff, item.payload.size() - poff};
+        offered += item.payload.size() - poff;
+      }
+      skip = 0;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = cnt;
     // MSG_NOSIGNAL: a peer that died mid-stream must surface as an error
     // (broken()), not as a process-killing SIGPIPE.
-    const ssize_t n = ::send(fd_, p, len, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool SocketEndpoint::read_all(void* data, std::size_t len) {
-  auto* p = static_cast<std::uint8_t*>(data);
-  while (len > 0) {
-    const ssize_t n = ::read(fd_, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;  // peer closed
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-void SocketEndpoint::tx_loop() {
-  // Blocking pop: the thread sleeps until a send arrives or close() pushes
-  // the stop sentinel. The previous 100 ms pop_wait poll tick woke every
-  // idle endpoint 10×/s forever and made shutdown wait out a partial tick;
-  // now an idle endpoint parks at zero cost and the sentinel is the sole,
-  // prompt wake-up. tx_wakeups_ counts every wake so a regression back to
-  // polling is visible to the tests.
-  for (;;) {
-    TxItem item = tx_.pop_blocking();
-    tx_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    if (item.stop) return;
-
-    std::uint8_t hdr[kFrameHeaderLen];
-    hdr[0] = item.track;
-    const auto len = static_cast<std::uint32_t>(item.payload.size());
-    hdr[1] = static_cast<std::uint8_t>(len & 0xff);
-    hdr[2] = static_cast<std::uint8_t>((len >> 8) & 0xff);
-    hdr[3] = static_cast<std::uint8_t>((len >> 16) & 0xff);
-    hdr[4] = static_cast<std::uint8_t>((len >> 24) & 0xff);
-
-    if (!write_all(hdr, sizeof hdr) ||
-        !write_all(item.payload.data(), item.payload.size())) {
-      // The wire broke under this item. Silently returning here used to
-      // drop it AND everything still queued behind it — no completion, no
-      // failure — so the engine's in-flight records for those tokens leaked
-      // forever when reliability was off (and flush() hung on them). Fail
-      // the current item, then stay alive as a drain pump so every queued
-      // and every future send() gets exactly one failure event, delivered
-      // by progress() before on_link_down.
-      gate_.mark_broken();
-      events_.push(EvSendFailed{item.track, item.token});
-      for (;;) {
-        TxItem doomed = tx_.pop_blocking();
-        tx_wakeups_.fetch_add(1, std::memory_order_relaxed);
-        if (doomed.stop) return;
-        events_.push(EvSendFailed{doomed.track, doomed.token});
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        tx_blocked_ = true;
+        loop_->set_events(this, EPOLLIN | EPOLLOUT);
+        return;
       }
-    }
-    packets_sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(item.payload.size(), std::memory_order_relaxed);
-    events_.push(EvSendComplete{item.track, item.token});
-  }
-}
-
-void SocketEndpoint::rx_loop() {
-  for (;;) {
-    std::uint8_t hdr[kFrameHeaderLen];
-    if (!read_all(hdr, sizeof hdr)) {
-      if (!stop_.load(std::memory_order_acquire)) gate_.mark_broken();
+      break_link();
       return;
     }
-    const TrackId track = hdr[0];
-    const std::uint32_t len = static_cast<std::uint32_t>(hdr[1]) |
-                              (static_cast<std::uint32_t>(hdr[2]) << 8) |
-                              (static_cast<std::uint32_t>(hdr[3]) << 16) |
-                              (static_cast<std::uint32_t>(hdr[4]) << 24);
+    // Retire every frame that fully left; each completes in send order.
+    std::size_t left = static_cast<std::size_t>(n);
+    EndpointHandler* h = handler();
+    while (!txq_.empty()) {
+      TxItem& item = txq_.front();
+      const std::size_t frame = kHeaderLen + item.payload.size();
+      if (tx_off_ + left < frame) {
+        tx_off_ += left;
+        break;
+      }
+      left -= frame - tx_off_;
+      tx_off_ = 0;
+      const TrackId track = item.hdr[0];
+      const std::uint64_t token = item.token;
+      packets_sent_.fetch_add(1, std::memory_order_relaxed);
+      bytes_sent_.fetch_add(item.payload.size(), std::memory_order_relaxed);
+      txq_.pop_front();
+      gate_.resolve();
+      if (h) h->on_send_complete(track, token);
+    }
+    if (static_cast<std::size_t>(n) < offered) {
+      // The socket buffer filled mid-write: resume on EPOLLOUT.
+      tx_blocked_ = true;
+      loop_->set_events(this, EPOLLIN | EPOLLOUT);
+      return;
+    }
+  }
+  loop_->set_events(this, EPOLLIN);
+}
+
+SocketEndpoint::RxResult SocketEndpoint::read_once() {
+  ssize_t n;
+  if (rx_in_big_) {
+    do {
+      n = ::recv(fd_, rx_big_.data() + rx_big_have_,
+                 rx_big_.size() - rx_big_have_, 0);
+    } while (n < 0 && errno == EINTR);
+    if (n > 0) {
+      rx_big_have_ += static_cast<std::size_t>(n);
+      if (rx_big_have_ == rx_big_.size()) {
+        rx_in_big_ = false;
+        rx_big_have_ = 0;
+        deliver(rx_big_track_, std::move(rx_big_));
+        rx_big_ = Bytes();
+      }
+      return RxResult::kData;
+    }
+  } else {
+    do {
+      n = ::recv(fd_, rx_buf_.data() + rx_len_, rx_buf_.size() - rx_len_, 0);
+    } while (n < 0 && errno == EINTR);
+    if (n > 0) {
+      rx_len_ += static_cast<std::size_t>(n);
+      return parse_frames() ? RxResult::kData : RxResult::kClosed;
+    }
+  }
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+    return RxResult::kEmpty;
+  return RxResult::kClosed;  // peer closed (0) or a transport error
+}
+
+bool SocketEndpoint::parse_frames() {
+  std::size_t off = 0;
+  while (rx_len_ - off >= kHeaderLen) {
+    const std::uint8_t* p = rx_buf_.data() + off;
+    const TrackId track = p[0];
+    const std::size_t len = static_cast<std::uint32_t>(p[1]) |
+                            (static_cast<std::uint32_t>(p[2]) << 8) |
+                            (static_cast<std::uint32_t>(p[3]) << 16) |
+                            (static_cast<std::uint32_t>(p[4]) << 24);
     if (len > kMaxFrame) {
       MADO_ERROR("socket rx: oversized frame " << len << " bytes, closing");
-      gate_.mark_broken();
-      return;
+      return false;
     }
-    Bytes payload(len);
-    if (len > 0 && !read_all(payload.data(), len)) {
-      if (!stop_.load(std::memory_order_acquire)) gate_.mark_broken();
-      return;
+    const std::size_t avail = rx_len_ - off - kHeaderLen;
+    if (avail >= len) {
+      deliver(track, Bytes(p + kHeaderLen, p + kHeaderLen + len));
+      off += kHeaderLen + len;
+      continue;
     }
-    events_.push(EvPacket{track, std::move(payload)});
+    if (kHeaderLen + len > rx_buf_.size()) {
+      // Too large for the buffer: read the rest straight into the payload.
+      rx_big_.resize(len);
+      std::memcpy(rx_big_.data(), p + kHeaderLen, avail);
+      rx_big_have_ = avail;
+      rx_big_track_ = track;
+      rx_in_big_ = true;
+      off = rx_len_;
+    }
+    break;
   }
+  if (off > 0) {
+    std::memmove(rx_buf_.data(), rx_buf_.data() + off, rx_len_ - off);
+    rx_len_ -= off;
+  }
+  return true;
+}
+
+void SocketEndpoint::deliver(TrackId track, Bytes payload) {
+  if (EndpointHandler* h = handler()) h->on_packet(track, std::move(payload));
+}
+
+void SocketEndpoint::break_link() {
+  if (!dead_) {
+    dead_ = true;
+    gate_.mark_broken();
+    // Whatever is still in the receive buffer arrived before the break.
+    while (read_once() == RxResult::kData) {
+    }
+    // EPOLLHUP/EPOLLERR would keep firing: take the fd out of epoll.
+    loop_->set_events(this, 0);
+  }
+  fail_queued();
+}
+
+void SocketEndpoint::fail_queued() {
+  submit_.drain(fresh_);
+  for (TxItem& item : fresh_) txq_.push_back(std::move(item));
+  fresh_.clear();
+  EndpointHandler* h = handler();
+  while (!txq_.empty()) {
+    const TrackId track = txq_.front().hdr[0];
+    const std::uint64_t token = txq_.front().token;
+    txq_.pop_front();
+    gate_.resolve();
+    if (h) h->on_send_failed(track, token);
+  }
+  tx_off_ = 0;
+  // A send accepted but not yet queued keeps the report back until its
+  // own failure has been delivered (the next on_notify).
+  if (gate_.should_report_link_down() && h) h->on_link_down();
 }
 
 }  // namespace mado::drv

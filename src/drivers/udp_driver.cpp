@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -139,265 +138,111 @@ Capabilities udp_loopback_profile() {
 }
 
 // ---------------------------------------------------------------------------
-// UdpLoop
+// Loop side (IoLoop::Source callbacks and what they call; loop thread only)
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<UdpLoop> UdpLoop::create(const UdpConfig& cfg) {
-  return std::shared_ptr<UdpLoop>(new UdpLoop(cfg));
-}
-
-UdpLoop::UdpLoop(const UdpConfig& cfg) : cfg_(cfg) {
-  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epfd_ < 0) throw_errno("epoll_create1");
-  wakefd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wakefd_ < 0) {
-    ::close(epfd_);
-    throw_errno("eventfd");
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.ptr = nullptr;  // nullptr marks the wake fd
-  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, wakefd_, &ev) != 0) {
-    ::close(wakefd_);
-    ::close(epfd_);
-    throw_errno("epoll_ctl wakefd");
-  }
-  rx_buf_.resize(kMaxBatch * kRxSlot);
-  thread_ = std::thread([this] { run(); });
-}
-
-UdpLoop::~UdpLoop() {
-  stop_.store(true, std::memory_order_release);
-  wake();
-  if (thread_.joinable()) thread_.join();
-  ::close(wakefd_);
-  ::close(epfd_);
-}
-
-void UdpLoop::wake() {
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wakefd_, &one, sizeof one);
-}
-
-void UdpLoop::notify_tx(UdpEndpoint* ep) {
-  tx_dirty_.push(ep);
-  wake();
-}
-
-void UdpLoop::register_endpoint(UdpEndpoint* ep) {
-  bool done = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ctrl_.push_back(CtrlOp{false, ep, &done});
-  }
-  wake();
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return done; });
-}
-
-void UdpLoop::deregister_endpoint(UdpEndpoint* ep) {
-  bool done = false;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ctrl_.push_back(CtrlOp{true, ep, &done});
-  }
-  wake();
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return done; });
-}
-
-void UdpLoop::process_ctrl() {
-  std::vector<CtrlOp> ops;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ops.swap(ctrl_);
-  }
-  if (ops.empty()) return;
-  for (CtrlOp& op : ops) {
-    UdpEndpoint* ep = op.ep;
-    if (!op.deregister) {
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.ptr = ep;
-      if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, ep->fd_, &ev) != 0)
-        MADO_ERROR("udp: epoll ADD failed: " << std::strerror(errno));
-      ep->io_.last_rx = now_ns();
-      eps_.push_back(ep);
-    } else {
-      ::epoll_ctl(epfd_, EPOLL_CTL_DEL, ep->fd_, nullptr);
-      eps_.erase(std::remove(eps_.begin(), eps_.end(), ep), eps_.end());
-      active_tx_.erase(std::remove(active_tx_.begin(), active_tx_.end(), ep),
-                       active_tx_.end());
-      // Purge queued dirty notifications so the loop never dereferences the
-      // endpoint after this handshake completes.
-      std::vector<UdpEndpoint*> dirty;
-      tx_dirty_.drain(dirty);
-      for (UdpEndpoint* d : dirty)
-        if (d != ep) tx_dirty_.push(d);
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      *op.done = true;
-    }
-    cv_.notify_all();
+void UdpEndpoint::on_ready(std::uint32_t events) {
+  if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) handle_readable();
+  if (events & EPOLLOUT) {
+    set_want_writable(false);
+    io_.active = true;
   }
 }
 
-void UdpLoop::set_active(UdpEndpoint* ep, bool active) {
-  if (active) {
-    if (!ep->io_.in_active) {
-      ep->io_.in_active = true;
-      active_tx_.push_back(ep);
-    }
-  } else {
-    ep->io_.in_active = false;
-    active_tx_.erase(std::remove(active_tx_.begin(), active_tx_.end(), ep),
-                     active_tx_.end());
+void UdpEndpoint::on_notify() { io_.active = true; }
+
+Nanos UdpEndpoint::on_tick(Nanos now) {
+  // Pump while backlogged (window- or EPOLLOUT-blocked, or mid-frame).
+  if (io_.active) {
+    pump_tx(now);
+    io_.active = !io_.q.empty() && !io_.broken;
   }
-}
-
-void UdpLoop::set_want_writable(UdpEndpoint* ep, bool want) {
-  if (ep->io_.want_writable == want) return;
-  epoll_event ev{};
-  ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-  ev.data.ptr = ep;
-  if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, ep->fd_, &ev) != 0)
-    MADO_ERROR("udp: epoll MOD failed: " << std::strerror(errno));
-  ep->io_.want_writable = want;
-}
-
-void UdpLoop::run() {
-  std::vector<epoll_event> evs(64);
-  for (;;) {
-    if (stop_.load(std::memory_order_acquire)) break;
-    // Idle loops sleep on epoll alone (forever with no endpoints, a slow
-    // keepalive tick otherwise); a loop with backlogged senders polls at
-    // the fast tick so window-blocked endpoints re-check promptly.
-    const int timeout_ms =
-        eps_.empty() ? -1 : (active_tx_.empty() ? 50 : 1);
-    const int n =
-        ::epoll_wait(epfd_, evs.data(), static_cast<int>(evs.size()),
-                     timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      MADO_ERROR("udp: epoll_wait failed: " << std::strerror(errno));
-      break;
-    }
-    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-      if (evs[i].data.ptr == nullptr) {
-        std::uint64_t drain = 0;
-        while (::read(wakefd_, &drain, sizeof drain) > 0) {
-        }
-        continue;
-      }
-      auto* ep = static_cast<UdpEndpoint*>(evs[i].data.ptr);
-      if (evs[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP))
-        handle_readable(ep);
-      if (evs[i].events & EPOLLOUT) {
-        set_want_writable(ep, false);
-        set_active(ep, true);
-      }
-    }
-    // Pick up endpoints whose submit queue gained items. The flag clears
-    // BEFORE the pump drains, so a send() racing this point either lands in
-    // the drain below or re-signals for the next iteration.
-    {
-      std::vector<UdpEndpoint*> dirty;
-      tx_dirty_.drain(dirty);
-      for (UdpEndpoint* ep : dirty) {
-        ep->tx_signaled_.store(false, std::memory_order_release);
-        set_active(ep, true);
-      }
-    }
-    const Nanos now = now_ns();
-    // Pump every active endpoint; keep only the ones with remaining
-    // backlog (window- or EPOLLOUT-blocked, or mid-frame).
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < active_tx_.size(); ++i) {
-      UdpEndpoint* ep = active_tx_[i];
-      pump_tx(ep, now);
-      const bool keep = !ep->io_.q.empty() && !ep->io_.broken;
-      ep->io_.in_active = keep;
-      if (keep) active_tx_[w++] = ep;
-    }
-    active_tx_.resize(w);
-    if (now - last_fast_tick_ >= kFastTick) {
-      last_fast_tick_ = now;
-      fast_tick(now);
-    }
-    if (now - last_slow_tick_ >= kSlowTick) {
-      last_slow_tick_ = now;
-      slow_tick(now);
-    }
-    process_ctrl();
+  if (now - io_.last_fast_tick >= kFastTick) {
+    io_.last_fast_tick = now;
+    fast_tick(now);
   }
-  // Drain any ctrl handshakes issued around shutdown so no caller blocks.
-  process_ctrl();
+  if (now - io_.last_slow_tick >= kSlowTick) {
+    io_.last_slow_tick = now;
+    slow_tick(now);
+  }
+  // A backlogged endpoint polls at the fast tick so a window-blocked sender
+  // re-checks promptly; an idle one only needs the keepalive tick.
+  return io_.active ? kFastTick : kSlowTick;
 }
 
-void UdpLoop::handle_readable(UdpEndpoint* ep) {
-  auto& io = ep->io_;
+void UdpEndpoint::set_want_writable(bool want) {
+  if (io_.want_writable == want) return;
+  loop_->set_events(this, EPOLLIN | (want ? EPOLLOUT : 0u));
+  io_.want_writable = want;
+}
+
+void UdpEndpoint::handle_readable() {
+  auto& io = io_;
+  // Receive scratch, one per loop thread: every endpoint the loop serves
+  // shares it, and it lives only within this call.
+  thread_local std::vector<std::uint8_t> rx_buf;
+  if (rx_buf.empty()) rx_buf.resize(kMaxBatch * kRxSlot);
   mmsghdr msgs[kMaxBatch];
   iovec iovs[kMaxBatch];
-  const std::size_t batch = std::min(ep->cfg_.batch, kMaxBatch);
+  const std::size_t batch = std::min(cfg_.batch, kMaxBatch);
   for (;;) {
     std::memset(msgs, 0, sizeof msgs);
     for (std::size_t i = 0; i < batch; ++i) {
-      iovs[i].iov_base = rx_buf_.data() + i * kRxSlot;
+      iovs[i].iov_base = rx_buf.data() + i * kRxSlot;
       iovs[i].iov_len = kRxSlot;
       msgs[i].msg_hdr.msg_iov = &iovs[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
     }
     const int n =
-        ::recvmmsg(ep->fd_, msgs, static_cast<unsigned>(batch), 0, nullptr);
+        ::recvmmsg(fd_, msgs, static_cast<unsigned>(batch), 0, nullptr);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       // A connected UDP socket surfaces the peer's death (ICMP port
       // unreachable after a SIGKILL) as ECONNREFUSED right here.
-      break_link(ep, std::strerror(errno));
+      break_link(std::strerror(errno));
       return;
     }
     if (n == 0) break;
     const Nanos now = now_ns();
     for (int i = 0; i < n; ++i) {
       if (io.broken) break;
-      handle_datagram(ep, rx_buf_.data() + std::size_t(i) * kRxSlot,
+      handle_datagram(rx_buf.data() + std::size_t(i) * kRxSlot,
                       msgs[i].msg_len, now);
     }
     if (io.broken) return;
-    deliver_ready_frames(ep, now);
-    flush_ack(ep, false);
+    deliver_ready_frames(now);
+    flush_ack(false);
     if (static_cast<std::size_t>(n) < batch) break;
   }
 }
 
-void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
-                              std::size_t len, Nanos now) {
-  auto& io = ep->io_;
+void UdpEndpoint::handle_datagram(const std::uint8_t* data, std::size_t len,
+                                  Nanos now) {
+  auto& io = io_;
   Header h;
   if (!decode_header(data, len, h)) return;  // runt: not ours, drop
   io.last_rx = now;
-  ep->counters_.datagrams_rx.fetch_add(1, std::memory_order_relaxed);
-  ep->counters_.bytes_rx.fetch_add(len, std::memory_order_relaxed);
+  counters_.datagrams_rx.fetch_add(1, std::memory_order_relaxed);
+  counters_.bytes_rx.fetch_add(len, std::memory_order_relaxed);
   switch (h.type) {
     case kTypeAck: {
-      ep->counters_.acks_rx.fetch_add(1, std::memory_order_relaxed);
+      counters_.acks_rx.fetch_add(1, std::memory_order_relaxed);
       const std::uint64_t acked =
           static_cast<std::uint64_t>(h.seq) |
           (static_cast<std::uint64_t>(h.frag) << 32);
       if (acked > io.peer_acked) {
         io.peer_acked = acked;
         io.blocked_since = 0;
-        if (!io.q.empty()) set_active(ep, true);
+        if (!io.q.empty()) io.active = true;
       }
       return;
     }
     case kTypePing:
       // A ping solicits an immediate ack (the sender is window-blocked)
       // and a pong for liveness.
-      flush_ack(ep, true);
-      send_ctrl_datagram(ep, kTypePong);
+      flush_ack(true);
+      send_ctrl_datagram(kTypePong);
       return;
     case kTypePong:
       return;  // last_rx update above is the whole point
@@ -411,20 +256,20 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
   // loss starves the reliability layer, not the window.
   io.rx_charged += charge(len);
   const std::uint32_t loss_ppm =
-      ep->rx_loss_ppm_.load(std::memory_order_relaxed);
+      rx_loss_ppm_.load(std::memory_order_relaxed);
   if (loss_ppm != 0) {
-    std::uint64_t x = ep->loss_rng_.load(std::memory_order_relaxed);
+    std::uint64_t x = loss_rng_.load(std::memory_order_relaxed);
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
-    ep->loss_rng_.store(x, std::memory_order_relaxed);
+    loss_rng_.store(x, std::memory_order_relaxed);
     if (x % 1000000u < loss_ppm) {
-      ep->counters_.rx_loss_injected.fetch_add(1, std::memory_order_relaxed);
+      counters_.rx_loss_injected.fetch_add(1, std::memory_order_relaxed);
       return;
     }
   }
   const std::size_t plen = len - kHdrLen;
-  if (h.track >= ep->caps_.track_count || h.nfrags == 0 ||
+  if (h.track >= caps_.track_count || h.nfrags == 0 ||
       h.frag >= h.nfrags || h.frame_len > kMaxFrame)
     return;  // malformed: drop
   // Fragment offset is derived from the observed payload size, so the two
@@ -444,7 +289,7 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
   auto& tr = io.rx[h.track];
   if (seq_lt(h.seq, tr.next_seq)) {
     // A fragment of a frame already delivered or skipped past.
-    ep->counters_.stale_frames.fetch_add(1, std::memory_order_relaxed);
+    counters_.stale_frames.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   auto& r = tr.pend[h.seq];
@@ -463,10 +308,10 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
   if (++r.have == r.nfrags) r.complete = true;
   // Reassembly bound: drop the oldest incomplete frame when the pending
   // set overflows (completed frames drain via ordered release below).
-  if (tr.pend.size() > ep->cfg_.max_pending_frames) {
+  if (tr.pend.size() > cfg_.max_pending_frames) {
     for (auto it = tr.pend.begin(); it != tr.pend.end(); ++it) {
       if (it->second.complete) continue;
-      ep->counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
+      counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
       if (it->first == tr.next_seq) tr.next_seq = it->first + 1;
       tr.pend.erase(it);
       break;
@@ -474,8 +319,8 @@ void UdpLoop::handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
   }
 }
 
-void UdpLoop::deliver_ready_frames(UdpEndpoint* ep, Nanos now) {
-  auto& io = ep->io_;
+void UdpEndpoint::deliver_ready_frames(Nanos now) {
+  auto& io = io_;
   for (std::size_t t = 0; t < io.rx.size(); ++t) {
     auto& tr = io.rx[t];
     while (!tr.pend.empty()) {
@@ -483,9 +328,8 @@ void UdpLoop::deliver_ready_frames(UdpEndpoint* ep, Nanos now) {
       auto& r = it->second;
       if (it->first == tr.next_seq) {
         if (r.complete) {
-          ep->events_.push(UdpEndpoint::EvPacket{
-              static_cast<TrackId>(t), std::move(r.buf)});
-          ep->counters_.frames_rx.fetch_add(1, std::memory_order_relaxed);
+          events_.push(EvPacket{static_cast<TrackId>(t), std::move(r.buf)});
+          counters_.frames_rx.fetch_add(1, std::memory_order_relaxed);
           tr.pend.erase(it);
           ++tr.next_seq;
           continue;
@@ -495,7 +339,7 @@ void UdpLoop::deliver_ready_frames(UdpEndpoint* ep, Nanos now) {
         // it died on the wire: drop it so the track flows again (the
         // reliability layer retransmits the content as a fresh frame).
         if (tr.pend.size() > 1 && now - r.complete_at >= kReasmStall) {
-          ep->counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
+          counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
           tr.pend.erase(it);
           ++tr.next_seq;
           continue;
@@ -505,8 +349,8 @@ void UdpLoop::deliver_ready_frames(UdpEndpoint* ep, Nanos now) {
       // Gap: the smallest pending seq is ahead of next_seq, so at least one
       // whole frame vanished. Release a completed frame past the gap after
       // a short hold (loopback reordering is rare; loss is the usual cause).
-      if (r.complete && now - r.complete_at >= ep->cfg_.gap_skip_after) {
-        ep->counters_.gap_skips.fetch_add(1, std::memory_order_relaxed);
+      if (r.complete && now - r.complete_at >= cfg_.gap_skip_after) {
+        counters_.gap_skips.fetch_add(1, std::memory_order_relaxed);
         tr.next_seq = it->first;
         continue;
       }
@@ -515,26 +359,26 @@ void UdpLoop::deliver_ready_frames(UdpEndpoint* ep, Nanos now) {
   }
 }
 
-void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
-  auto& io = ep->io_;
+void UdpEndpoint::pump_tx(Nanos now) {
+  auto& io = io_;
   {
-    std::vector<UdpEndpoint::TxItem> fresh;
-    ep->tx_.drain(fresh);
+    std::vector<TxItem> fresh;
+    tx_.drain(fresh);
     for (auto& item : fresh) io.q.push_back(std::move(item));
   }
-  if (ep->fail_requested_.exchange(false, std::memory_order_acq_rel)) {
-    break_link(ep, "injected failure");
+  if (fail_requested_.exchange(false, std::memory_order_acq_rel)) {
+    break_link("injected failure");
     return;
   }
   if (io.broken) {
     for (auto& item : io.q)
-      ep->events_.push(UdpEndpoint::EvSendFailed{item.track, item.token});
+      events_.push(EvSendFailed{item.track, item.token});
     io.q.clear();
     io.cur_off = 0;
     return;
   }
   if (io.want_writable) return;  // waiting for EPOLLOUT
-  const std::size_t batch = std::min(ep->cfg_.batch, kMaxBatch);
+  const std::size_t batch = std::min(cfg_.batch, kMaxBatch);
   while (!io.q.empty()) {
     mmsghdr msgs[kMaxBatch];
     iovec iovs[kMaxBatch][2];
@@ -556,7 +400,7 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
         item.seq_assigned = true;
       }
       const std::size_t flen = item.payload.size();
-      const std::size_t chunk = ep->chunk_;
+      const std::size_t chunk = chunk_;
       const auto nfrags = static_cast<std::uint32_t>(
           flen == 0 ? 1 : (flen + chunk - 1) / chunk);
       const std::size_t plen = flen == 0 ? 0 : std::min(chunk, flen - off);
@@ -564,7 +408,7 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
           static_cast<std::uint32_t>(flen == 0 ? 0 : off / chunk);
       const std::uint64_t ch = charge(kHdrLen + plen);
       if (io.tx_charged + pending_charge + ch >
-          io.peer_acked + ep->window_)
+          io.peer_acked + window_)
         break;  // window full
       Header h;
       h.type = kTypeData;
@@ -601,86 +445,85 @@ void UdpLoop::pump_tx(UdpEndpoint* ep, Nanos now) {
       // reliability layer's retransmissions flow rather than deadlock.
       if (io.blocked_since == 0) {
         io.blocked_since = now;
-        ep->counters_.window_stalls.fetch_add(1, std::memory_order_relaxed);
-      } else if (now - io.blocked_since >= ep->cfg_.window_reset_after) {
+        counters_.window_stalls.fetch_add(1, std::memory_order_relaxed);
+      } else if (now - io.blocked_since >= cfg_.window_reset_after) {
         io.peer_acked = io.tx_charged;
         io.blocked_since = 0;
-        ep->counters_.window_resets.fetch_add(1, std::memory_order_relaxed);
+        counters_.window_resets.fetch_add(1, std::memory_order_relaxed);
         continue;  // retry immediately with the fresh window
       } else if (now - io.blocked_since >= kAckSolicitAfter &&
                  now - io.last_ping >= kFastTick) {
         io.last_ping = now;
-        send_ctrl_datagram(ep, kTypePing);
+        send_ctrl_datagram(kTypePing);
       }
       return;
     }
     int n;
     do {
-      n = ::sendmmsg(ep->fd_, msgs, built, 0);
+      n = ::sendmmsg(fd_, msgs, built, 0);
     } while (n < 0 && errno == EINTR);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        ep->counters_.eagain_tx.fetch_add(1, std::memory_order_relaxed);
-        set_want_writable(ep, true);
+        counters_.eagain_tx.fetch_add(1, std::memory_order_relaxed);
+        set_want_writable(true);
         return;
       }
       if (errno == ENOBUFS) {
         // Transient kernel memory pressure; EPOLLOUT won't signal relief,
         // so stay active and retry on the next loop iteration.
-        ep->counters_.eagain_tx.fetch_add(1, std::memory_order_relaxed);
+        counters_.eagain_tx.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      break_link(ep, std::strerror(errno));
+      break_link(std::strerror(errno));
       return;
     }
     for (int i = 0; i < n; ++i) {
       io.tx_charged += adv[i].charge;
-      ep->counters_.datagrams_tx.fetch_add(1, std::memory_order_relaxed);
-      ep->counters_.bytes_tx.fetch_add(kHdrLen + adv[i].bytes,
+      counters_.datagrams_tx.fetch_add(1, std::memory_order_relaxed);
+      counters_.bytes_tx.fetch_add(kHdrLen + adv[i].bytes,
                                        std::memory_order_relaxed);
       io.cur_off += adv[i].bytes;
       if (adv[i].frame_done) {
         auto& item = io.q.front();
-        ep->events_.push(
-            UdpEndpoint::EvSendComplete{item.track, item.token});
-        ep->counters_.frames_tx.fetch_add(1, std::memory_order_relaxed);
+        events_.push(EvSendComplete{item.track, item.token});
+        counters_.frames_tx.fetch_add(1, std::memory_order_relaxed);
         io.q.pop_front();
         io.cur_off = 0;
       }
     }
     io.blocked_since = 0;
     if (static_cast<unsigned>(n) < built) {
-      ep->counters_.eagain_tx.fetch_add(1, std::memory_order_relaxed);
-      set_want_writable(ep, true);
+      counters_.eagain_tx.fetch_add(1, std::memory_order_relaxed);
+      set_want_writable(true);
       return;
     }
   }
 }
 
-void UdpLoop::send_ctrl_datagram(UdpEndpoint* ep, std::uint8_t type) {
+void UdpEndpoint::send_ctrl_datagram(std::uint8_t type) {
   std::uint8_t hdr[kHdrLen];
   Header h;
   h.type = type;
   encode_header(hdr, h);
   ssize_t n;
   do {
-    n = ::send(ep->fd_, hdr, sizeof hdr, 0);
+    n = ::send(fd_, hdr, sizeof hdr, 0);
   } while (n < 0 && errno == EINTR);
   if (n < 0) {
     if (errno == ECONNREFUSED) {
-      break_link(ep, "econnrefused");
+      break_link("econnrefused");
       return;
     }
     return;  // EAGAIN etc: keepalive is best-effort, the next tick retries
   }
-  ep->counters_.datagrams_tx.fetch_add(1, std::memory_order_relaxed);
-  ep->counters_.bytes_tx.fetch_add(sizeof hdr, std::memory_order_relaxed);
+  counters_.datagrams_tx.fetch_add(1, std::memory_order_relaxed);
+  counters_.bytes_tx.fetch_add(sizeof hdr, std::memory_order_relaxed);
   if (type == kTypePing)
-    ep->counters_.pings_tx.fetch_add(1, std::memory_order_relaxed);
+    counters_.pings_tx.fetch_add(1, std::memory_order_relaxed);
 }
 
-void UdpLoop::flush_ack(UdpEndpoint* ep, bool force) {
-  auto& io = ep->io_;
+void UdpEndpoint::flush_ack(bool force) {
+  auto& io = io_;
   const std::uint64_t delta = io.rx_charged - io.acked_sent;
   if (delta == 0) {
     io.ack_pending = false;
@@ -689,7 +532,7 @@ void UdpLoop::flush_ack(UdpEndpoint* ep, bool force) {
   // Below the threshold the ack rides the next slow tick (or a ping): a
   // trickle flow never starves the sender's window, and a bulk flow crosses
   // the threshold every few datagrams anyway.
-  if (!force && delta < ep->window_ / 8) {
+  if (!force && delta < window_ / 8) {
     io.ack_pending = true;
     return;
   }
@@ -701,77 +544,75 @@ void UdpLoop::flush_ack(UdpEndpoint* ep, bool force) {
   encode_header(hdr, h);
   ssize_t n;
   do {
-    n = ::send(ep->fd_, hdr, sizeof hdr, 0);
+    n = ::send(fd_, hdr, sizeof hdr, 0);
   } while (n < 0 && errno == EINTR);
   if (n < 0) {
     if (errno == ECONNREFUSED) {
-      break_link(ep, "econnrefused");
+      break_link("econnrefused");
       return;
     }
     io.ack_pending = true;  // retried from the slow tick
     return;
   }
-  ep->counters_.datagrams_tx.fetch_add(1, std::memory_order_relaxed);
-  ep->counters_.bytes_tx.fetch_add(sizeof hdr, std::memory_order_relaxed);
-  ep->counters_.acks_tx.fetch_add(1, std::memory_order_relaxed);
+  counters_.datagrams_tx.fetch_add(1, std::memory_order_relaxed);
+  counters_.bytes_tx.fetch_add(sizeof hdr, std::memory_order_relaxed);
+  counters_.acks_tx.fetch_add(1, std::memory_order_relaxed);
   io.acked_sent = io.rx_charged;
   io.ack_pending = false;
 }
 
-void UdpLoop::break_link(UdpEndpoint* ep, const char* why) {
-  auto& io = ep->io_;
+void UdpEndpoint::break_link(const char* why) {
+  auto& io = io_;
   if (io.broken) return;
   io.broken = true;
-  ep->gate_.mark_broken();
-  MADO_DEBUG("udp: link down (" << why << ") on port " << ep->local_port_);
+  gate_.mark_broken();
+  MADO_DEBUG("udp: link down (" << why << ") on port " << local_port_);
   // Fail the partially-sent frame, everything queued behind it, and
   // everything still sitting in the submit queue — exactly one failure per
   // token, all delivered by progress() before on_link_down.
   {
-    std::vector<UdpEndpoint::TxItem> fresh;
-    ep->tx_.drain(fresh);
+    std::vector<TxItem> fresh;
+    tx_.drain(fresh);
     for (auto& item : fresh) io.q.push_back(std::move(item));
   }
   for (auto& item : io.q)
-    ep->events_.push(UdpEndpoint::EvSendFailed{item.track, item.token});
+    events_.push(EvSendFailed{item.track, item.token});
   io.q.clear();
   io.cur_off = 0;
   // Deliver whatever completed frames are releasable; incomplete ones died
   // with the link.
-  deliver_ready_frames(ep, now_ns());
+  deliver_ready_frames(now_ns());
 }
 
-void UdpLoop::fast_tick(Nanos now) {
+void UdpEndpoint::fast_tick(Nanos now) {
   // Ordered-release upkeep: gap skips and head-of-line stall drops must
   // advance even when no new datagram arrives to trigger the rx path.
-  for (UdpEndpoint* ep : eps_) {
-    if (ep->io_.broken) continue;
-    bool any = false;
-    for (auto& tr : ep->io_.rx)
-      if (!tr.pend.empty()) any = true;
-    if (any) deliver_ready_frames(ep, now);
+  if (io_.broken) return;
+  for (auto& tr : io_.rx) {
+    if (!tr.pend.empty()) {
+      deliver_ready_frames(now);
+      return;
+    }
   }
 }
 
-void UdpLoop::slow_tick(Nanos now) {
-  for (UdpEndpoint* ep : eps_) {
-    auto& io = ep->io_;
-    if (io.broken) continue;
-    if (ep->fail_requested_.exchange(false, std::memory_order_acq_rel)) {
-      break_link(ep, "injected failure");
-      continue;
-    }
-    if (io.ack_pending) flush_ack(ep, true);
-    const Nanos silence = now - io.last_rx;
-    if (silence >= ep->cfg_.peer_timeout) {
-      break_link(ep, "peer timeout");
-      continue;
-    }
-    if (silence >= ep->cfg_.ping_interval &&
-        now - io.last_ping >= ep->cfg_.ping_interval) {
-      io.last_ping = now;
-      send_ctrl_datagram(ep, kTypePing);
-    }
+void UdpEndpoint::slow_tick(Nanos now) {
+  auto& io = io_;
+  if (io.broken) return;
+  if (fail_requested_.exchange(false, std::memory_order_acq_rel)) {
+    break_link("injected failure");
+    return;
+  }
+  if (io.ack_pending) flush_ack(true);
+  const Nanos silence = now - io.last_rx;
+  if (silence >= cfg_.peer_timeout) {
+    break_link("peer timeout");
+    return;
+  }
+  if (silence >= cfg_.ping_interval &&
+      now - io.last_ping >= cfg_.ping_interval) {
+    io.last_ping = now;
+    send_ctrl_datagram(kTypePing);
   }
 }
 
@@ -779,7 +620,7 @@ void UdpLoop::slow_tick(Nanos now) {
 // UdpEndpoint
 // ---------------------------------------------------------------------------
 
-UdpEndpoint::UdpEndpoint(std::shared_ptr<UdpLoop> loop, Capabilities caps,
+UdpEndpoint::UdpEndpoint(std::shared_ptr<IoLoop> loop, Capabilities caps,
                          UdpConfig cfg)
     : loop_(std::move(loop)), caps_(std::move(caps)), cfg_(cfg) {
   MADO_CHECK_MSG(cfg_.mtu > kHdrLen, "udp mtu must exceed the header");
@@ -795,7 +636,7 @@ UdpEndpoint::UdpEndpoint(std::shared_ptr<UdpLoop> loop, Capabilities caps,
 
 UdpEndpoint::~UdpEndpoint() { close(); }
 
-std::unique_ptr<UdpEndpoint> UdpEndpoint::bind(std::shared_ptr<UdpLoop> loop,
+std::unique_ptr<UdpEndpoint> UdpEndpoint::bind(std::shared_ptr<IoLoop> loop,
                                                const Capabilities& caps,
                                                const UdpConfig& cfg,
                                                std::uint16_t port) {
@@ -851,14 +692,15 @@ void UdpEndpoint::connect(const std::string& ip, std::uint16_t port) {
   window_ = std::max(window_,
                      static_cast<std::size_t>(charge(kHdrLen + chunk_)));
   connected_.store(true, std::memory_order_release);
-  loop_->register_endpoint(this);
+  io_.last_rx = now_ns();
+  loop_->add(this, fd_, /*ticks=*/true);
   registered_.store(true, std::memory_order_release);
 }
 
-UdpEndpoint::PairResult UdpEndpoint::make_pair(const Capabilities& caps_a,
+UdpEndpoint::PairResult UdpEndpoint::make_pair(std::shared_ptr<IoLoop> loop,
+                                               const Capabilities& caps_a,
                                                const Capabilities& caps_b,
                                                const UdpConfig& cfg) {
-  auto loop = UdpLoop::create(cfg);
   PairResult r;
   r.a = bind(loop, caps_a, cfg);
   r.b = bind(loop, caps_b, cfg);
@@ -882,14 +724,12 @@ void UdpEndpoint::send(TrackId track, const GatherList& gl,
                  "frame needs more than 65535 fragments at this MTU");
   gate_.accept();
   tx_.push(std::move(item));
-  // One wake per burst: the loop clears the flag before draining, so the
-  // first send after a drain re-arms the notification.
-  if (!tx_signaled_.exchange(true, std::memory_order_acq_rel))
-    loop_->notify_tx(this);
+  loop_->notify(this);
 }
 
 void UdpEndpoint::progress() {
-  if (!handler_) return;
+  // After close() the queued events are dropped: no callback follows it.
+  if (!handler_ || gate_.closed()) return;
   std::vector<Event> drained;
   events_.drain(drained);
   for (auto& ev : drained) {
@@ -912,8 +752,7 @@ void UdpEndpoint::close() {
   // Synchronous handshake: after this returns the loop thread holds no
   // reference to this endpoint, so the fd and Io state are ours to tear
   // down.
-  if (registered_.load(std::memory_order_acquire))
-    loop_->deregister_endpoint(this);
+  if (registered_.load(std::memory_order_acquire)) loop_->remove(this);
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -922,11 +761,8 @@ void UdpEndpoint::close() {
 
 void UdpEndpoint::inject_failure() {
   fail_requested_.store(true, std::memory_order_release);
-  // Ride the tx-dirty path so the loop notices promptly even when idle.
-  if (registered_.load(std::memory_order_acquire)) {
-    if (!tx_signaled_.exchange(true, std::memory_order_acq_rel))
-      loop_->notify_tx(this);
-  }
+  // Ride the notify path so the loop notices promptly even when idle.
+  if (registered_.load(std::memory_order_acquire)) loop_->notify(this);
 }
 
 void UdpEndpoint::set_rx_loss(double probability, std::uint64_t seed) {

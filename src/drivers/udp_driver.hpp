@@ -1,5 +1,5 @@
 // UDP endpoint: real datagrams over the kernel UDP stack, multiplexing any
-// number of peers on ONE epoll event loop per process with batched
+// number of peers on one IoLoop (epoll thread) with batched
 // sendmmsg/recvmmsg. This is the bridge from "socketpair inside one process"
 // to "serves actual traffic": peers live in separate OS processes, the wire
 // can drop and reorder, and SIGKILLing a peer surfaces as a real transport
@@ -26,32 +26,29 @@
 // arrive (seq-ordered release with a bounded skip for lost frames);
 // recovering the lost ones is the reliability layer's job.
 //
-// Threading: one UdpLoop thread owns epoll, all sockets, and all per-
-// endpoint IO state. send() only enqueues + wakes the loop; progress()
-// only drains the completion queue — the same MPSC handoff as the
-// socketpair driver, so the engine-facing contract is identical.
+// Threading: the IoLoop thread owns the socket and all per-endpoint IO
+// state; the endpoint registers with ticks (1 ms while backlogged, 50 ms
+// keepalive otherwise). send() only enqueues and nudges the loop. Unlike
+// the socketpair driver, completions and arrivals are queued and handed to
+// the handler from progress().
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <variant>
 #include <vector>
 
 #include "drivers/driver.hpp"
+#include "drivers/io_loop.hpp"
 #include "drivers/link_gate.hpp"
 #include "util/clock.hpp"
 #include "util/queues.hpp"
 
 namespace mado::drv {
-
-class UdpEndpoint;
 
 struct UdpConfig {
   /// Largest datagram emitted (header + payload). Bounded by the IPv4 UDP
@@ -104,7 +101,6 @@ struct UdpCounters {
   std::atomic<std::uint64_t> reasm_drops{0};
   std::atomic<std::uint64_t> stale_frames{0};
   std::atomic<std::uint64_t> rx_loss_injected{0};
-  std::atomic<std::uint64_t> loop_wakeups{0};
 };
 
 /// Honest capability profile for UDP over loopback: no gather (datagram
@@ -112,84 +108,24 @@ struct UdpCounters {
 /// cost numbers so RTO floors and stripe planning stay sane.
 Capabilities udp_loopback_profile();
 
-/// One epoll event loop serving every UdpEndpoint of a process. Create it
-/// once (UdpLoop::create), hand the shared_ptr to each endpoint; the loop
-/// thread exits when the last endpoint releases it.
-class UdpLoop {
- public:
-  static std::shared_ptr<UdpLoop> create(const UdpConfig& cfg = {});
-  ~UdpLoop();
-
-  UdpLoop(const UdpLoop&) = delete;
-  UdpLoop& operator=(const UdpLoop&) = delete;
-
- private:
-  friend class UdpEndpoint;
-  explicit UdpLoop(const UdpConfig& cfg);
-
-  /// Both are synchronous handshakes with the loop thread: after
-  /// deregister() returns, the loop holds no reference to the endpoint.
-  void register_endpoint(UdpEndpoint* ep);
-  void deregister_endpoint(UdpEndpoint* ep);
-  /// Cross-thread nudge (eventfd write).
-  void wake();
-  /// send() fast path: mark `ep` tx-dirty and wake the loop only on the
-  /// first send of a burst.
-  void notify_tx(UdpEndpoint* ep);
-
-  void run();
-  void process_ctrl();
-  void handle_readable(UdpEndpoint* ep);
-  void handle_datagram(UdpEndpoint* ep, const std::uint8_t* data,
-                       std::size_t len, Nanos now);
-  void deliver_ready_frames(UdpEndpoint* ep, Nanos now);
-  void pump_tx(UdpEndpoint* ep, Nanos now);
-  void send_ctrl_datagram(UdpEndpoint* ep, std::uint8_t type);
-  void flush_ack(UdpEndpoint* ep, bool force);
-  void break_link(UdpEndpoint* ep, const char* why);
-  void set_active(UdpEndpoint* ep, bool active);
-  void set_want_writable(UdpEndpoint* ep, bool want);
-  void fast_tick(Nanos now);
-  void slow_tick(Nanos now);
-
-  UdpConfig cfg_;
-  int epfd_ = -1;
-  int wakefd_ = -1;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  struct CtrlOp {
-    bool deregister = false;
-    UdpEndpoint* ep = nullptr;
-    bool* done = nullptr;
-  };
-  std::vector<CtrlOp> ctrl_;
-
-  /// Endpoints whose submit queue gained items since the loop last drained
-  /// them (MPSC so every submitter can push; loop is the one consumer).
-  MpscQueue<UdpEndpoint*> tx_dirty_;
-
-  // Loop-thread-only state below.
-  std::vector<UdpEndpoint*> eps_;
-  std::vector<UdpEndpoint*> active_tx_;
-  std::vector<std::uint8_t> rx_buf_;  ///< batch × mtu receive scratch
-  Nanos last_fast_tick_ = 0;
-  Nanos last_slow_tick_ = 0;
-};
-
-class UdpEndpoint final : public DriverEndpoint {
+class UdpEndpoint final : public DriverEndpoint, private IoLoop::Source {
  public:
   struct PairResult {
     std::unique_ptr<UdpEndpoint> a;
     std::unique_ptr<UdpEndpoint> b;
   };
-  /// Both ends in one process, cross-connected over 127.0.0.1 on a shared
-  /// loop — the drop-in analogue of SocketEndpoint::make_pair for tests.
-  static PairResult make_pair(const Capabilities& caps_a,
+  /// Both ends in one process, cross-connected over 127.0.0.1 and served
+  /// by `loop` — the analogue of SocketEndpoint::make_pair.
+  static PairResult make_pair(std::shared_ptr<IoLoop> loop,
+                              const Capabilities& caps_a,
                               const Capabilities& caps_b,
                               const UdpConfig& cfg = {});
+  /// As above, on a loop of the pair's own.
+  static PairResult make_pair(const Capabilities& caps_a,
+                              const Capabilities& caps_b,
+                              const UdpConfig& cfg = {}) {
+    return make_pair(IoLoop::create(), caps_a, caps_b, cfg);
+  }
   static PairResult make_pair(const Capabilities& caps,
                               const UdpConfig& cfg = {}) {
     return make_pair(caps, caps, cfg);
@@ -198,7 +134,7 @@ class UdpEndpoint final : public DriverEndpoint {
   /// Multi-process path: bind an unconnected endpoint on 127.0.0.1 (port 0
   /// = ephemeral), exchange ports out of band, then connect(). Traffic and
   /// epoll registration start at connect().
-  static std::unique_ptr<UdpEndpoint> bind(std::shared_ptr<UdpLoop> loop,
+  static std::unique_ptr<UdpEndpoint> bind(std::shared_ptr<IoLoop> loop,
                                            const Capabilities& caps,
                                            const UdpConfig& cfg = {},
                                            std::uint16_t port = 0);
@@ -227,12 +163,25 @@ class UdpEndpoint final : public DriverEndpoint {
   void set_rx_loss(double probability, std::uint64_t seed);
 
  private:
-  friend class UdpLoop;
-  UdpEndpoint(std::shared_ptr<UdpLoop> loop, Capabilities caps,
+  UdpEndpoint(std::shared_ptr<IoLoop> loop, Capabilities caps,
               UdpConfig cfg);
 
   void open_and_bind(std::uint16_t port);
-  void register_with_loop();
+
+  // IoLoop::Source, and the loop-thread-only IO paths behind it.
+  void on_ready(std::uint32_t events) override;
+  void on_notify() override;
+  Nanos on_tick(Nanos now) override;
+  void handle_readable();
+  void handle_datagram(const std::uint8_t* data, std::size_t len, Nanos now);
+  void deliver_ready_frames(Nanos now);
+  void pump_tx(Nanos now);
+  void send_ctrl_datagram(std::uint8_t type);
+  void flush_ack(bool force);
+  void break_link(const char* why);
+  void set_want_writable(bool want);
+  void fast_tick(Nanos now);
+  void slow_tick(Nanos now);
 
   struct TxItem {
     TrackId track = 0;
@@ -280,7 +229,7 @@ class UdpEndpoint final : public DriverEndpoint {
     std::uint64_t tx_charged = 0;
     std::uint64_t peer_acked = 0;
     bool want_writable = false;
-    bool in_active = false;
+    bool active = false;  ///< backlogged: pumped on every loop pass
     Nanos blocked_since = 0;  ///< 0 = not window-blocked
     std::uint64_t rx_charged = 0;
     std::uint64_t acked_sent = 0;  ///< last cumulative value sent to peer
@@ -288,10 +237,12 @@ class UdpEndpoint final : public DriverEndpoint {
     std::vector<TrackRx> rx;
     Nanos last_rx = 0;
     Nanos last_ping = 0;
+    Nanos last_fast_tick = 0;
+    Nanos last_slow_tick = 0;
     bool broken = false;  ///< loop-side latch: fail everything from now on
   };
 
-  std::shared_ptr<UdpLoop> loop_;
+  std::shared_ptr<IoLoop> loop_;
   Capabilities caps_;
   UdpConfig cfg_;
   int fd_ = -1;
@@ -304,7 +255,6 @@ class UdpEndpoint final : public DriverEndpoint {
 
   MpscQueue<TxItem> tx_;
   MpscQueue<Event> events_;
-  std::atomic<bool> tx_signaled_{false};
   LinkDownGate gate_;
   std::atomic<bool> fail_requested_{false};
   std::atomic<std::uint32_t> rx_loss_ppm_{0};

@@ -4,14 +4,12 @@
 //               (Vyukov's sequence-stamped design); used as the per-peer
 //               submit ring so application threads can enqueue messages
 //               without ever contending with the progressor's peer lock.
-// MpscQueue<T>: mutex-protected multi-producer single-consumer queue with
-//               optional blocking pop; used for completion delivery where
-//               multiple IO threads feed one progress loop, and as the shm
-//               driver's inbox and outbox.
+// MpscQueue<T>: mutex-protected multi-producer single-consumer queue;
+//               used for send() → IO loop hand-offs, UDP completion
+//               delivery, and as the shm driver's inbox and outbox.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
@@ -128,28 +126,13 @@ template <typename T>
 class MpscQueue {
  public:
   void push(T v) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      q_.push_back(std::move(v));
-    }
-    cv_.notify_one();
+    std::lock_guard<std::mutex> lk(mu_);
+    q_.push_back(std::move(v));
   }
 
   std::optional<T> try_pop() {
     std::lock_guard<std::mutex> lk(mu_);
     if (q_.empty()) return std::nullopt;
-    T v = std::move(q_.front());
-    q_.pop_front();
-    return v;
-  }
-
-  /// Pop, sleeping indefinitely until an item arrives. Consumers that use
-  /// this MUST have a wake protocol (a sentinel item pushed at shutdown) —
-  /// there is no timeout to fall out of. This is what lets an idle IO
-  /// thread cost zero wakeups instead of polling a timed wait.
-  T pop_blocking() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return !q_.empty(); });
     T v = std::move(q_.front());
     q_.pop_front();
     return v;
@@ -176,7 +159,6 @@ class MpscQueue {
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<T> q_;
 };
 

@@ -516,8 +516,10 @@ class StallEndpoint final : public drv::DriverEndpoint {
 
 // Work stealing: owners are assigned in peer-insertion order modulo
 // progress_threads, so with two threads peers 1 and 3 land on thread 0 and
-// peer 2 on thread 1. Wedge thread 0 inside peer 1's driver pump; traffic
-// to peer 3 can then only complete if thread 1 steals the orphaned shard.
+// peer 2 on thread 1. The StallEndpoint wedges whichever thread pumps peer
+// 1's shard first: its owner t0, or t1 stealing it before t0's first lap.
+// Traffic to a peer the wedged thread owns (3 for t0, 2 for t1) can then
+// only complete if the healthy thread steals that shard.
 TEST(ShardOwnership, StalledOwnerShardIsStolen) {
   EngineConfig cfg;
   cfg.progress_threads = 2;
@@ -541,15 +543,37 @@ TEST(ShardOwnership, StalledOwnerShardIsStolen) {
   hub.start_progress_thread();
   while (!wedge->stalled()) std::this_thread::yield();
 
-  Channel ch = hub.open_channel(3, 1);
+  // From here the wedged thread never finishes its lap, so its shard_laps
+  // counter is frozen; the healthy thread keeps lapping (it parks for at
+  // most prog_idle_wait). The first counter to move names the healthy one.
+  auto laps = [&hub](int t) {
+    return hub.counters_snapshot()["prog.t" + std::to_string(t) +
+                                   ".shard_laps"];
+  };
+  const std::uint64_t from0 = laps(0), from1 = laps(1);
+  int healthy = -1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (healthy < 0 && std::chrono::steady_clock::now() < deadline) {
+    const bool moved0 = laps(0) != from0, moved1 = laps(1) != from1;
+    ASSERT_FALSE(moved0 && moved1) << "both progress threads are lapping";
+    if (moved0) healthy = 0;
+    if (moved1) healthy = 1;
+    std::this_thread::yield();
+  }
+  ASSERT_GE(healthy, 0) << "neither progress thread laps";
+  const NodeId target = healthy == 1 ? 3 : 2;  // owned by the wedged thread
+
+  Channel ch = hub.open_channel(target, 1);
   for (int i = 0; i < 50; ++i) {
     SendHandle h = send_bytes(ch, pattern(64));
     ASSERT_TRUE(hub.wait_send(h, 5 * kNanosPerSec))
-        << "message " << i << " wedged behind the stalled owner: steal failed";
+        << "message " << i << " to peer " << target
+        << " wedged behind the stalled owner: steal failed";
   }
   auto counters = hub.counters_snapshot();
   EXPECT_GE(counters["prog.steals"], 1u);
-  EXPECT_GE(counters["prog.t1.steals"], 1u)
+  EXPECT_GE(counters["prog.t" + std::to_string(healthy) + ".steals"], 1u)
       << "the healthy thread must be the one stealing";
   wedge->release();
   hub.stop_progress_thread();

@@ -1,5 +1,5 @@
 // Integration tests over the real socket driver: the engine against genuine
-// asynchrony (IO threads, progress threads, wall-clock timers).
+// asynchrony (the IO loop thread, progress threads, wall-clock timers).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -156,6 +156,32 @@ TEST_F(SocketEngineTest, MixedEagerAndRdvStress) {
               pattern(64 * 1024, 500u + static_cast<std::uint32_t>(i)));
   }
   EXPECT_TRUE(world_->node(0).flush());
+}
+
+// Teardown while traffic flows both ways: the IO loop is inside engine
+// callbacks (completions, arrivals) while node 0 closes its rails. The
+// engine used to close endpoints while holding peers_mu_ and the peer
+// locks; a loop callback blocked on one of those locks then kept close()'s
+// deregistration handshake from ever finishing. With two rails, a callback
+// on one rail must also not send on the other after it was closed.
+TEST(SocketWorldTeardown, DestroyWhileBothDirectionsStream) {
+  for (int round = 0; round < 100; ++round) {
+    auto world = std::make_unique<SocketWorld>(
+        EngineConfig{}, drv::mx_myrinet_profile(), 1 + round % 2);
+    {
+      Channel a = world->node(0).open_channel(1, 7);
+      Channel b = world->node(1).open_channel(0, 7);
+      auto stream = [](Channel& ch, std::uint32_t seed) {
+        for (std::uint32_t i = 0; i < 64; ++i)
+          send_bytes(ch, pattern(i % 8 == 0 ? 96 * 1024 : 256, seed + i));
+      };
+      std::thread ta([&] { stream(a, 0); });
+      std::thread tb([&] { stream(b, 1000); });
+      ta.join();
+      tb.join();
+    }
+    world.reset();  // most of that traffic is still in flight
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <mutex>
 #include <thread>
 
 #include "core/engine.hpp"
@@ -331,19 +332,38 @@ TEST(SocketFailure, PeerDeathMidTrafficIsContained) {
 }
 
 /// Counts driver callbacks; remembers how many packets had been delivered
-/// when on_link_down fired.
-struct CountingHandler final : drv::EndpointHandler {
-  std::vector<Bytes> packets;
-  int link_downs = 0;
-  std::size_t packets_at_down = 0;
+/// when on_link_down fired. The socket driver calls it from its loop
+/// thread, so every field is read through the lock.
+class CountingHandler final : public drv::EndpointHandler {
+ public:
   void on_send_complete(drv::TrackId, std::uint64_t) override {}
-  void on_packet(drv::TrackId, Bytes p) override {
-    packets.push_back(std::move(p));
+  void on_packet(drv::TrackId, Bytes) override {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++packets_;
   }
   void on_link_down() override {
-    ++link_downs;
-    packets_at_down = packets.size();
+    std::lock_guard<std::mutex> lk(mu_);
+    ++link_downs_;
+    packets_at_down_ = packets_;
   }
+  std::size_t packets() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return packets_;
+  }
+  int link_downs() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return link_downs_;
+  }
+  std::size_t packets_at_down() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return packets_at_down_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::size_t packets_ = 0;
+  int link_downs_ = 0;
+  std::size_t packets_at_down_ = 0;
 };
 
 // Satellite (ISSUE 2): socket teardown race. Packets that were already on
@@ -371,18 +391,20 @@ TEST(SocketFailure, LinkDownReportedOnceAfterDrainingArrivals) {
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (ha.link_downs == 0 && std::chrono::steady_clock::now() < deadline) {
+  while (ha.link_downs() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
     pair.a->progress();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(ha.link_downs, 1);
-  EXPECT_EQ(ha.packets.size(), kPackets);
-  EXPECT_EQ(ha.packets_at_down, kPackets)
+  ASSERT_EQ(ha.link_downs(), 1);
+  EXPECT_EQ(ha.packets(), kPackets);
+  EXPECT_EQ(ha.packets_at_down(), kPackets)
       << "on_link_down fired before queued arrivals were drained";
   EXPECT_TRUE(pair.a->broken());
   EXPECT_FALSE(pair.a->link_up());
   for (int i = 0; i < 5; ++i) pair.a->progress();
-  EXPECT_EQ(ha.link_downs, 1) << "on_link_down must fire exactly once";
+  EXPECT_EQ(ha.link_downs(), 1) << "on_link_down must fire exactly once";
+  pair.a->close();  // ha outlives every callback a's loop can make
 }
 
 // A deliberate local close() is teardown, not failure: no on_link_down.
@@ -394,7 +416,8 @@ TEST(SocketFailure, LocalCloseIsNotReportedAsLinkDown) {
   pair.b->set_handler(&hb);
   pair.a->close();
   for (int i = 0; i < 5; ++i) pair.a->progress();
-  EXPECT_EQ(ha.link_downs, 0);
+  EXPECT_EQ(ha.link_downs(), 0);
+  pair.b->close();  // hb outlives every callback b's loop can make
 }
 
 }  // namespace

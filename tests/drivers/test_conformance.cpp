@@ -21,6 +21,7 @@ namespace mado::drv {
 namespace {
 
 using testing::RecordingHandler;
+using testing::SendScope;
 using testing::make_payload;
 
 /// Uniform harness over one endpoint pair plus its progression mechanism.
@@ -50,6 +51,7 @@ struct Harness {
             std::uint64_t token) {
     GatherList gl;
     gl.add(payload.data(), payload.size());
+    SendScope scope;
     ep.send(track, gl, token);
   }
 };
@@ -103,6 +105,10 @@ std::unique_ptr<Harness> make_harness(Kind kind) {
   return h;
 }
 
+/// The socket driver calls back from its IO loop thread at any time after
+/// send() returns; the others deliver only when pumped.
+bool delivers_from_io_thread(Kind k) { return k == Kind::Socket; }
+
 const char* kind_name(Kind k) {
   switch (k) {
     case Kind::Shm: return "shm";
@@ -127,39 +133,51 @@ class DriverConformanceTest : public ::testing::TestWithParam<Kind> {
 
 TEST_P(DriverConformanceTest, SendNeverInvokesHandlersSynchronously) {
   h_->send(*h_->a, kTrackEager, make_payload(64), 1);
-  EXPECT_TRUE(h_->ha.completions.empty());
-  EXPECT_TRUE(h_->hb.packets.empty());
+  // A driver with an IO thread may already have called back from it; a
+  // pumped driver must not have delivered anything yet.
+  if (!delivers_from_io_thread(GetParam())) {
+    EXPECT_EQ(h_->ha.completion_count(), 0u);
+    EXPECT_EQ(h_->hb.packet_count(), 0u);
+  }
+  ASSERT_TRUE(h_->pump_until([&] {
+    return h_->ha.completion_count() == 1 && h_->hb.packet_count() == 1;
+  }));
+  // No callback ran on the sending thread from inside send().
+  EXPECT_EQ(h_->ha.calls_inside_send(), 0u);
+  EXPECT_EQ(h_->hb.calls_inside_send(), 0u);
 }
 
 TEST_P(DriverConformanceTest, CompletionCarriesTrackAndToken) {
   h_->send(*h_->a, kTrackBulk, make_payload(64), 0xfeed);
-  ASSERT_TRUE(h_->pump_until([&] { return !h_->ha.completions.empty(); }));
-  EXPECT_EQ(h_->ha.completions[0].track, kTrackBulk);
-  EXPECT_EQ(h_->ha.completions[0].token, 0xfeedu);
+  ASSERT_TRUE(h_->pump_until([&] { return h_->ha.completion_count() > 0; }));
+  const auto done = h_->ha.completions();
+  EXPECT_EQ(done[0].track, kTrackBulk);
+  EXPECT_EQ(done[0].token, 0xfeedu);
 }
 
 TEST_P(DriverConformanceTest, PayloadDeliveredByteExact) {
   const Bytes p = make_payload(777, 9);
   h_->send(*h_->a, kTrackEager, p, 1);
-  ASSERT_TRUE(h_->pump_until([&] { return !h_->hb.packets.empty(); }));
-  EXPECT_EQ(h_->hb.packets[0].payload, p);
-  EXPECT_EQ(h_->hb.packets[0].track, kTrackEager);
+  ASSERT_TRUE(h_->pump_until([&] { return h_->hb.packet_count() > 0; }));
+  const auto got = h_->hb.packets();
+  EXPECT_EQ(got[0].payload, p);
+  EXPECT_EQ(got[0].track, kTrackEager);
 }
 
 TEST_P(DriverConformanceTest, LargePayloadSurvives) {
   const Bytes p = make_payload(2 * 1024 * 1024, 3);
   h_->send(*h_->a, kTrackBulk, p, 1);
-  ASSERT_TRUE(h_->pump_until([&] { return !h_->hb.packets.empty(); }));
-  EXPECT_EQ(h_->hb.packets[0].payload, p);
+  ASSERT_TRUE(h_->pump_until([&] { return h_->hb.packet_count() > 0; }));
+  EXPECT_EQ(h_->hb.packets()[0].payload, p);
 }
 
 TEST_P(DriverConformanceTest, ZeroLengthPayload) {
   GatherList gl;
   h_->a->send(kTrackEager, gl, 5);
   ASSERT_TRUE(h_->pump_until([&] {
-    return !h_->hb.packets.empty() && !h_->ha.completions.empty();
+    return h_->hb.packet_count() > 0 && h_->ha.completion_count() > 0;
   }));
-  EXPECT_TRUE(h_->hb.packets[0].payload.empty());
+  EXPECT_TRUE(h_->hb.packets()[0].payload.empty());
 }
 
 TEST_P(DriverConformanceTest, PerTrackFifoOrder) {
@@ -167,12 +185,15 @@ TEST_P(DriverConformanceTest, PerTrackFifoOrder) {
   for (std::uint64_t i = 0; i < kN; ++i)
     h_->send(*h_->a, kTrackEager, make_payload(16, static_cast<std::uint8_t>(i)),
              i);
-  ASSERT_TRUE(h_->pump_until([&] { return h_->hb.packets.size() == kN; }));
+  ASSERT_TRUE(h_->pump_until([&] {
+    return h_->hb.packet_count() == kN && h_->ha.completion_count() == kN;
+  }));
+  const auto got = h_->hb.packets();
+  const auto done = h_->ha.completions();
   for (std::uint64_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(h_->hb.packets[i].payload,
-              make_payload(16, static_cast<std::uint8_t>(i)))
+    EXPECT_EQ(got[i].payload, make_payload(16, static_cast<std::uint8_t>(i)))
         << i;
-    EXPECT_EQ(h_->ha.completions[i].token, i);
+    EXPECT_EQ(done[i].token, i);
   }
 }
 
@@ -184,30 +205,30 @@ TEST_P(DriverConformanceTest, GatherSegmentsConcatenate) {
   gl.add(p2.data(), p2.size());
   gl.add(p3.data(), p3.size());
   h_->a->send(kTrackEager, gl, 1);
-  ASSERT_TRUE(h_->pump_until([&] { return !h_->hb.packets.empty(); }));
+  ASSERT_TRUE(h_->pump_until([&] { return h_->hb.packet_count() > 0; }));
   Bytes expect = p1;
   expect.insert(expect.end(), p2.begin(), p2.end());
   expect.insert(expect.end(), p3.begin(), p3.end());
-  EXPECT_EQ(h_->hb.packets[0].payload, expect);
+  EXPECT_EQ(h_->hb.packets()[0].payload, expect);
 }
 
 TEST_P(DriverConformanceTest, DirectionsAreIndependent) {
   h_->send(*h_->a, kTrackEager, make_payload(16, 1), 1);
   h_->send(*h_->b, kTrackEager, make_payload(16, 2), 2);
   ASSERT_TRUE(h_->pump_until([&] {
-    return !h_->ha.packets.empty() && !h_->hb.packets.empty();
+    return h_->ha.packet_count() > 0 && h_->hb.packet_count() > 0;
   }));
-  EXPECT_EQ(h_->ha.packets[0].payload, make_payload(16, 2));
-  EXPECT_EQ(h_->hb.packets[0].payload, make_payload(16, 1));
+  EXPECT_EQ(h_->ha.packets()[0].payload, make_payload(16, 2));
+  EXPECT_EQ(h_->hb.packets()[0].payload, make_payload(16, 1));
 }
 
 TEST_P(DriverConformanceTest, SegmentsReusableAfterCompletion) {
   Bytes buf = make_payload(64, 1);
   h_->send(*h_->a, kTrackEager, buf, 1);
-  ASSERT_TRUE(h_->pump_until([&] { return !h_->ha.completions.empty(); }));
+  ASSERT_TRUE(h_->pump_until([&] { return h_->ha.completion_count() > 0; }));
   std::fill(buf.begin(), buf.end(), Byte{0});  // allowed after completion
-  ASSERT_TRUE(h_->pump_until([&] { return !h_->hb.packets.empty(); }));
-  EXPECT_EQ(h_->hb.packets[0].payload, make_payload(64, 1));
+  ASSERT_TRUE(h_->pump_until([&] { return h_->hb.packet_count() > 0; }));
+  EXPECT_EQ(h_->hb.packets()[0].payload, make_payload(64, 1));
 }
 
 TEST_P(DriverConformanceTest, ConcurrentTracksShareOnePeerWithoutInterference) {
@@ -228,13 +249,13 @@ TEST_P(DriverConformanceTest, ConcurrentTracksShareOnePeerWithoutInterference) {
              make_payload(24, static_cast<std::uint8_t>(i)), 0x200 + i);
   }
   ASSERT_TRUE(h_->pump_until([&] {
-    return h_->hb.packets.size() == 2 * kN &&
-           h_->ha.completions.size() == 2 * kN;
+    return h_->hb.packet_count() == 2 * kN &&
+           h_->ha.completion_count() == 2 * kN;
   }));
 
   // Per-track FIFO + byte-exact payloads, whatever the interleaving.
   std::uint64_t eager_seen = 0, bulk_seen = 0;
-  for (const auto& pkt : h_->hb.packets) {
+  for (const auto& pkt : h_->hb.packets()) {
     if (pkt.track == kTrackEager) {
       EXPECT_EQ(pkt.payload,
                 make_payload(24, static_cast<std::uint8_t>(eager_seen)))
@@ -254,7 +275,7 @@ TEST_P(DriverConformanceTest, ConcurrentTracksShareOnePeerWithoutInterference) {
 
   // Completions are per-track FIFO too.
   std::uint64_t eager_done = 0, bulk_done = 0;
-  for (const auto& c : h_->ha.completions) {
+  for (const auto& c : h_->ha.completions()) {
     if (c.track == kTrackEager) {
       EXPECT_EQ(c.token, 0x200 + eager_done);
       ++eager_done;
@@ -266,7 +287,27 @@ TEST_P(DriverConformanceTest, ConcurrentTracksShareOnePeerWithoutInterference) {
   }
   EXPECT_EQ(eager_done, kN);
   EXPECT_EQ(bulk_done, kN);
-  EXPECT_TRUE(h_->ha.failures.empty());
+  EXPECT_EQ(h_->ha.failure_count(), 0u);
+}
+
+TEST_P(DriverConformanceTest, NoCallbackAfterCloseReturns) {
+  // Close both ends with traffic still moving both ways: whatever was
+  // delivered before close() returned stays, and nothing follows it.
+  constexpr std::uint64_t kN = 16;
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    h_->send(*h_->a, kTrackBulk, make_payload(32 * 1024), i);
+    h_->send(*h_->b, kTrackBulk, make_payload(32 * 1024), i);
+  }
+  h_->pump_once();
+  h_->a->close();
+  h_->b->close();
+  const std::size_t calls_a = h_->ha.total_calls();
+  const std::size_t calls_b = h_->hb.total_calls();
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+  while (std::chrono::steady_clock::now() < until) h_->pump_once();
+  EXPECT_EQ(h_->ha.total_calls(), calls_a);
+  EXPECT_EQ(h_->hb.total_calls(), calls_b);
 }
 
 TEST_P(DriverConformanceTest, InvalidTrackRejected) {
@@ -295,7 +336,7 @@ TEST(ShmEndpoint, PeerDestructionIsSafe) {
   pair.a->send(kTrackEager, gl, 1);
   pair.b.reset();      // destroy receiver with a packet in flight
   pair.a->progress();  // completion still delivered to sender
-  EXPECT_EQ(ha.completions.size(), 1u);
+  EXPECT_EQ(ha.completion_count(), 1u);
 }
 
 }  // namespace

@@ -39,8 +39,8 @@ class SimDriverTest : public ::testing::Test {
 TEST_F(SimDriverTest, NoSynchronousCallbacks) {
   Bytes p = make_payload(16);
   send(*a_, kTrackEager, p, 1);
-  EXPECT_TRUE(ha_.completions.empty());
-  EXPECT_TRUE(hb_.packets.empty());
+  EXPECT_TRUE(ha_.completions().empty());
+  EXPECT_TRUE(hb_.packets().empty());
   EXPECT_TRUE(fabric_.has_events());
 }
 
@@ -48,10 +48,10 @@ TEST_F(SimDriverTest, CompletionThenDelivery) {
   Bytes p = make_payload(16);
   send(*a_, kTrackEager, p, 7);
   fabric_.run_until_idle();
-  ASSERT_EQ(ha_.completions.size(), 1u);
-  EXPECT_EQ(ha_.completions[0].token, 7u);
-  ASSERT_EQ(hb_.packets.size(), 1u);
-  EXPECT_EQ(hb_.packets[0].payload, p);
+  ASSERT_EQ(ha_.completion_count(), 1u);
+  EXPECT_EQ(ha_.completions()[0].token, 7u);
+  ASSERT_EQ(hb_.packet_count(), 1u);
+  EXPECT_EQ(hb_.packets()[0].payload, p);
 }
 
 TEST_F(SimDriverTest, DeliveryLaterThanCompletion) {
@@ -59,11 +59,11 @@ TEST_F(SimDriverTest, DeliveryLaterThanCompletion) {
   send(*a_, kTrackEager, p, 1);
   // First event: completion (accept time). Clock then < delivery time.
   fabric_.step();
-  EXPECT_EQ(ha_.completions.size(), 1u);
-  EXPECT_TRUE(hb_.packets.empty());
+  EXPECT_EQ(ha_.completion_count(), 1u);
+  EXPECT_TRUE(hb_.packets().empty());
   const Nanos completion_time = fabric_.now();
   fabric_.run_until_idle();
-  EXPECT_EQ(hb_.packets.size(), 1u);
+  EXPECT_EQ(hb_.packet_count(), 1u);
   EXPECT_GT(fabric_.now(), completion_time);
 }
 
@@ -87,7 +87,7 @@ TEST_F(SimDriverTest, BackToBackSendsSerializeOnLink) {
   // Second packet waits for the first: total = 2 * busy + latency.
   EXPECT_EQ(fabric_.now(),
             2 * m.busy_time(p.size(), 1) + m.propagation_latency());
-  ASSERT_EQ(hb_.packets.size(), 2u);
+  ASSERT_EQ(hb_.packet_count(), 2u);
 }
 
 TEST_F(SimDriverTest, DirectionsDoNotSerializeAgainstEachOther) {
@@ -105,12 +105,13 @@ TEST_F(SimDriverTest, FifoPerTrack) {
   for (std::uint64_t i = 0; i < 8; ++i)
     send(*a_, kTrackEager, make_payload(8, static_cast<std::uint8_t>(i)), i);
   fabric_.run_until_idle();
-  ASSERT_EQ(ha_.completions.size(), 8u);
-  ASSERT_EQ(hb_.packets.size(), 8u);
+  ASSERT_EQ(ha_.completion_count(), 8u);
+  ASSERT_EQ(hb_.packet_count(), 8u);
+  const auto done = ha_.completions();
+  const auto got = hb_.packets();
   for (std::uint64_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(ha_.completions[i].token, i);
-    EXPECT_EQ(hb_.packets[i].payload,
-              make_payload(8, static_cast<std::uint8_t>(i)));
+    EXPECT_EQ(done[i].token, i);
+    EXPECT_EQ(got[i].payload, make_payload(8, static_cast<std::uint8_t>(i)));
   }
 }
 
@@ -125,8 +126,8 @@ TEST_F(SimDriverTest, FlattenChargedWithoutGatherSupport) {
   a_->send(kTrackEager, gl, 1);
   fabric_.run_until_idle();
   EXPECT_EQ(a_->flatten_copies(), 1u);
-  ASSERT_EQ(hb_.packets.size(), 1u);
-  EXPECT_EQ(hb_.packets[0].payload.size(), 64u);
+  ASSERT_EQ(hb_.packet_count(), 1u);
+  EXPECT_EQ(hb_.packets()[0].payload.size(), 64u);
 }
 
 TEST_F(SimDriverTest, TooManySegmentsAlsoFlattens) {
@@ -172,7 +173,7 @@ TEST_F(SimDriverTest, DeliveryToDestroyedPeerIsDropped) {
   send(*a_, kTrackEager, p, 1);
   b_.reset();
   EXPECT_NO_THROW(fabric_.run_until_idle());
-  EXPECT_EQ(ha_.completions.size(), 1u);
+  EXPECT_EQ(ha_.completion_count(), 1u);
 }
 
 TEST_F(SimDriverTest, InvalidTrackThrows) {

@@ -65,10 +65,10 @@ TEST_F(UdpDriverTest, RoundTripSingleDatagram) {
   const Bytes p = make_payload(512);
   send(*a_, kTrackEager, p, 7);
   ASSERT_TRUE(pump_until([&] {
-    return ha_.completions.size() == 1 && hb_.packets.size() == 1;
+    return ha_.completion_count() == 1 && hb_.packet_count() == 1;
   }));
-  EXPECT_EQ(ha_.completions[0].token, 7u);
-  EXPECT_EQ(hb_.packets[0].payload, p);
+  EXPECT_EQ(ha_.completions()[0].token, 7u);
+  EXPECT_EQ(hb_.packets()[0].payload, p);
   EXPECT_GE(a_->counters().datagrams_tx.load(), 1u);
   EXPECT_GE(b_->counters().datagrams_rx.load(), 1u);
 }
@@ -79,8 +79,8 @@ TEST_F(UdpDriverTest, FrameLargerThanMtuIsFragmentedAndReassembled) {
   build(cfg);
   const Bytes p = make_payload(100 * 1024, 5);
   send(*a_, kTrackBulk, p, 1);
-  ASSERT_TRUE(pump_until([&] { return hb_.packets.size() == 1; }));
-  EXPECT_EQ(hb_.packets[0].payload, p);
+  ASSERT_TRUE(pump_until([&] { return hb_.packet_count() == 1; }));
+  EXPECT_EQ(hb_.packets()[0].payload, p);
   // ceil(100 KiB / (2048-16)) fragments at minimum.
   EXPECT_GE(a_->counters().datagrams_tx.load(), 50u);
   EXPECT_EQ(b_->counters().frames_rx.load(), 1u);
@@ -96,13 +96,14 @@ TEST_F(UdpDriverTest, BulkStreamEngagesFlowControlWithoutLoss) {
     send(*a_, kTrackBulk, make_payload(kSize, static_cast<std::uint8_t>(i)),
          i);
   ASSERT_TRUE(pump_until([&] {
-    return hb_.packets.size() == kN && ha_.completions.size() == kN;
+    return hb_.packet_count() == kN && ha_.completion_count() == kN;
   }, 30000ms));
+  const auto got = hb_.packets();
+  const auto done = ha_.completions();
   for (std::uint64_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hb_.packets[i].payload,
-              make_payload(kSize, static_cast<std::uint8_t>(i)))
+    EXPECT_EQ(got[i].payload, make_payload(kSize, static_cast<std::uint8_t>(i)))
         << i;
-    EXPECT_EQ(ha_.completions[i].token, i);
+    EXPECT_EQ(done[i].token, i);
   }
   // 16 MiB against a ≤1 MiB window must have stalled the sender at least
   // once — proof the window was actually exercised, not bypassed.
@@ -121,17 +122,17 @@ TEST_F(UdpDriverTest, InjectedRxLossDoesNotStallDelivery) {
   for (std::uint64_t i = 0; i < kN; ++i)
     send(*a_, kTrackEager, make_payload(64, static_cast<std::uint8_t>(i)), i);
   // All sends complete (completion = handed to the wire, not delivery).
-  ASSERT_TRUE(pump_until([&] { return ha_.completions.size() == kN; }));
+  ASSERT_TRUE(pump_until([&] { return ha_.completion_count() == kN; }));
   // Wait for the receive side to settle: everything not lost gets through.
   ASSERT_TRUE(pump_until([&] {
-    return hb_.packets.size() + b_->counters().rx_loss_injected.load() >= kN;
+    return hb_.packet_count() + b_->counters().rx_loss_injected.load() >= kN;
   }));
   EXPECT_GT(b_->counters().rx_loss_injected.load(), 0u);
-  EXPECT_LT(hb_.packets.size(), kN);
+  EXPECT_LT(hb_.packet_count(), kN);
   // Delivered subsequence preserves submission order (payload seeds ascend).
   std::uint8_t last = 0;
   bool first = true;
-  for (const auto& pkt : hb_.packets) {
+  for (const auto& pkt : hb_.packets()) {
     ASSERT_FALSE(pkt.payload.empty());
     const std::uint8_t seed = static_cast<std::uint8_t>(pkt.payload[0]);
     if (!first) {
@@ -149,11 +150,11 @@ TEST_F(UdpDriverTest, InjectFailureFailsQueuedAndFutureSendsThenLinkDown) {
   for (std::uint64_t i = 0; i < kN; ++i)
     send(*a_, kTrackEager, make_payload(64), i);
   ASSERT_TRUE(pump_until([&] {
-    return ha_.failures.size() == kN && ha_.link_downs == 1;
+    return ha_.failure_count() == kN && ha_.link_downs() == 1;
   }));
-  EXPECT_TRUE(ha_.completions.empty());
+  EXPECT_TRUE(ha_.completions().empty());
   // Contract: every doomed token failed BEFORE on_link_down, exactly once.
-  EXPECT_EQ(ha_.failures_at_link_down, kN);
+  EXPECT_EQ(ha_.failures_at_link_down(), kN);
   EXPECT_TRUE(a_->broken());
   EXPECT_FALSE(a_->link_up());
 }
@@ -172,8 +173,8 @@ TEST_F(UdpDriverTest, PeerCloseSurfacesAsConnRefused) {
         return a_->broken();
       },
       5000ms));
-  ASSERT_TRUE(pump_until([&] { return ha_.link_downs == 1; }));
-  EXPECT_EQ(ha_.completions.size() + ha_.failures.size(), 1u);
+  ASSERT_TRUE(pump_until([&] { return ha_.link_downs() == 1; }));
+  EXPECT_EQ(ha_.completion_count() + ha_.failure_count(), 1u);
 }
 
 TEST_F(UdpDriverTest, CloseIsIdempotentAndSendAfterCloseThrows) {
@@ -208,7 +209,7 @@ TEST_F(UdpDriverTest, ManyEndpointsShareOneLoop) {
   const auto deadline = std::chrono::steady_clock::now() + 10s;
   auto all_done = [&] {
     for (std::size_t i = 0; i < kPairs; ++i)
-      if (handlers[2 * i + 1].packets.empty()) return false;
+      if (handlers[2 * i + 1].packets().empty()) return false;
     return true;
   };
   while (!all_done() && std::chrono::steady_clock::now() < deadline) {
@@ -217,10 +218,10 @@ TEST_F(UdpDriverTest, ManyEndpointsShareOneLoop) {
   }
   ASSERT_TRUE(all_done());
   for (std::size_t i = 0; i < kPairs; ++i) {
-    EXPECT_EQ(handlers[2 * i + 1].packets[0].payload,
+    EXPECT_EQ(handlers[2 * i + 1].packets()[0].payload,
               make_payload(1024, static_cast<std::uint8_t>(i)))
         << i;
-    EXPECT_TRUE(handlers[2 * i].packets.empty()) << i;  // no cross-talk
+    EXPECT_TRUE(handlers[2 * i].packets().empty()) << i;  // no cross-talk
   }
   for (auto& ep : eps) ep->close();
 }

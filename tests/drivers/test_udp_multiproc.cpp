@@ -1,7 +1,7 @@
 // Multi-process UDP tests: the driver serving REAL traffic between separate
 // OS processes over 127.0.0.1 — the configuration the single-process suites
 // can only approximate. The harness forks echo children BEFORE the parent
-// creates any UdpLoop (so no thread exists at fork time — fork+threads is
+// creates any IoLoop (so no thread exists at fork time — fork+threads is
 // undefined enough that TSan refuses it), exchanges ephemeral ports over
 // pipes, and runs the bind()/connect() handshake exactly the way two
 // unrelated processes would.
@@ -82,7 +82,7 @@ struct EchoHandler final : EndpointHandler {
 /// 3 on handshake failure. No gtest in here — assertion macros don't
 /// propagate across processes; the parent checks the exit status.
 [[noreturn]] void run_echo_child(int rfd, int wfd) {
-  auto loop = UdpLoop::create();
+  auto loop = IoLoop::create();
   auto ep = UdpEndpoint::bind(loop, test_profile());
   EchoHandler h;
   h.ep = ep.get();
@@ -108,7 +108,7 @@ struct ChildProc {
   int wfd = -1;  ///< write our port here
 };
 
-/// Fork an echo child. MUST be called before the parent owns any UdpLoop
+/// Fork an echo child. MUST be called before the parent owns any IoLoop
 /// (i.e. before any thread exists).
 ChildProc spawn_echo_child() {
   int p2c[2], c2p[2];
@@ -129,7 +129,7 @@ ChildProc spawn_echo_child() {
 }
 
 /// Parent-side handshake against a spawned child.
-std::unique_ptr<UdpEndpoint> connect_to_child(std::shared_ptr<UdpLoop> loop,
+std::unique_ptr<UdpEndpoint> connect_to_child(std::shared_ptr<IoLoop> loop,
                                               ChildProc& c,
                                               RecordingHandler& h) {
   auto ep = UdpEndpoint::bind(std::move(loop), test_profile());
@@ -164,7 +164,7 @@ TEST(UdpMultiProcess, BindConnectHandshakeAndEchoAcrossProcesses) {
   ASSERT_GT(child.pid, 0);
   // Only now may the parent grow threads.
   RecordingHandler h;
-  auto ep = connect_to_child(UdpLoop::create(), child, h);
+  auto ep = connect_to_child(IoLoop::create(), child, h);
 
   // Small frames and a multi-fragment bulk frame, echoed byte-exact.
   constexpr std::uint64_t kSmall = 16;
@@ -180,10 +180,10 @@ TEST(UdpMultiProcess, BindConnectHandshakeAndEchoAcrossProcesses) {
     gl.add(big.data(), big.size());
     ep->send(kTrackBulk, gl, 999);
   }
-  ASSERT_TRUE(pump_until(*ep, [&] { return h.packets.size() == kSmall + 1; }));
+  ASSERT_TRUE(pump_until(*ep, [&] { return h.packet_count() == kSmall + 1; }));
   std::size_t small_seen = 0;
   bool big_seen = false;
-  for (const auto& pkt : h.packets) {
+  for (const auto& pkt : h.packets()) {
     if (pkt.track == kTrackBulk) {
       EXPECT_EQ(pkt.payload, big);
       big_seen = true;
@@ -196,7 +196,7 @@ TEST(UdpMultiProcess, BindConnectHandshakeAndEchoAcrossProcesses) {
   }
   EXPECT_EQ(small_seen, kSmall);
   EXPECT_TRUE(big_seen);
-  EXPECT_EQ(h.link_downs, 0);
+  EXPECT_EQ(h.link_downs(), 0);
 
   // Deliberate close tears the child down cleanly (its pings get refused).
   ep->close();
@@ -215,7 +215,7 @@ TEST(UdpMultiProcess, LossyEchoAcrossProcesses) {
   ChildProc child = spawn_echo_child();
   ASSERT_GT(child.pid, 0);
   RecordingHandler h;
-  auto ep = connect_to_child(UdpLoop::create(), child, h);
+  auto ep = connect_to_child(IoLoop::create(), child, h);
   ep->set_rx_loss(0.03, 77);
 
   constexpr std::uint64_t kN = 300;
@@ -226,13 +226,13 @@ TEST(UdpMultiProcess, LossyEchoAcrossProcesses) {
     ep->send(kTrackEager, gl, i);
   }
   // Every send completes; the echo stream settles at kN minus the losses.
-  ASSERT_TRUE(pump_until(*ep, [&] { return h.completions.size() == kN; }));
+  ASSERT_TRUE(pump_until(*ep, [&] { return h.completion_count() == kN; }));
   ASSERT_TRUE(pump_until(*ep, [&] {
-    return h.packets.size() + ep->counters().rx_loss_injected.load() >= kN;
+    return h.packet_count() + ep->counters().rx_loss_injected.load() >= kN;
   }));
   EXPECT_GT(ep->counters().rx_loss_injected.load(), 0u);
   EXPECT_FALSE(ep->broken());
-  EXPECT_EQ(h.link_downs, 0);
+  EXPECT_EQ(h.link_downs(), 0);
 
   ep->close();
   const int status = wait_for_exit(child.pid);
@@ -249,7 +249,7 @@ TEST(UdpMultiProcess, SigkillPeerFailsOverToSurvivor) {
   ChildProc survivor = spawn_echo_child();
   ASSERT_GT(victim.pid, 0);
   ASSERT_GT(survivor.pid, 0);
-  auto loop = UdpLoop::create();
+  auto loop = IoLoop::create();
   RecordingHandler hv, hs;
   auto ep_v = connect_to_child(loop, victim, hv);
   auto ep_s = connect_to_child(loop, survivor, hs);
@@ -265,7 +265,7 @@ TEST(UdpMultiProcess, SigkillPeerFailsOverToSurvivor) {
   constexpr std::uint64_t kWarm = 8;
   for (std::uint64_t i = 0; i < kWarm; ++i)
     send_to(*ep_v, i, static_cast<std::uint8_t>(i));
-  ASSERT_TRUE(pump_until(*ep_v, [&] { return hv.packets.size() == kWarm; }));
+  ASSERT_TRUE(pump_until(*ep_v, [&] { return hv.packet_count() == kWarm; }));
 
   // kill -9: the kernel closes the victim's socket; our datagrams now draw
   // ICMP port-unreachable → ECONNREFUSED on the connected fd.
@@ -277,24 +277,25 @@ TEST(UdpMultiProcess, SigkillPeerFailsOverToSurvivor) {
   for (std::uint64_t i = 0; i < kBatch; ++i)
     send_to(*ep_v, 100 + i, static_cast<std::uint8_t>(i));
   ASSERT_TRUE(pump_until(*ep_v, [&] {
-    return hv.completions.size() + hv.failures.size() == kWarm + kBatch &&
-           hv.link_downs == 1;
+    return hv.completion_count() + hv.failure_count() == kWarm + kBatch &&
+           hv.link_downs() == 1;
   }));
   EXPECT_TRUE(ep_v->broken());
-  EXPECT_EQ(hv.link_downs, 1);
+  EXPECT_EQ(hv.link_downs(), 1);
   // Link-down came only after every failed token was reported.
-  EXPECT_EQ(hv.failures_at_link_down, hv.failures.size());
+  EXPECT_EQ(hv.failures_at_link_down(), hv.failure_count());
 
   // Fail over: drain the same workload to the survivor.
   for (std::uint64_t i = 0; i < kBatch; ++i)
     send_to(*ep_s, 100 + i, static_cast<std::uint8_t>(i));
-  ASSERT_TRUE(pump_until(*ep_s, [&] { return hs.packets.size() == kBatch; }));
+  ASSERT_TRUE(pump_until(*ep_s, [&] { return hs.packet_count() == kBatch; }));
+  const auto got = hs.packets();
   for (std::uint64_t i = 0; i < kBatch; ++i)
-    EXPECT_EQ(hs.packets[i].payload,
+    EXPECT_EQ(got[i].payload,
               make_payload(1024, static_cast<std::uint8_t>(i)))
         << i;
   EXPECT_FALSE(ep_s->broken());
-  EXPECT_EQ(hs.link_downs, 0);
+  EXPECT_EQ(hs.link_downs(), 0);
 
   ep_v->close();
   ep_s->close();

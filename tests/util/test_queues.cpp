@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -69,17 +68,6 @@ TEST(MpscQueue, PushPop) {
   EXPECT_EQ(q.try_pop().value(), 1);
   EXPECT_EQ(q.try_pop().value(), 2);
   EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(MpscQueue, PopBlockingWakesOnPush) {
-  MpscQueue<int> q;
-  std::thread t([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.push(42);
-  });
-  const int v = q.pop_blocking();
-  t.join();
-  EXPECT_EQ(v, 42);
 }
 
 TEST(MpscQueue, DrainTakesEverything) {
