@@ -206,9 +206,9 @@ int main(int argc, char** argv) {
   const std::size_t flows_base = 1'000;
   // The acceptance gate is a per-peer budget, not a flat number: 48 KB per
   // peer (10 resident 64 B flows, their retained wire images, rel tracking,
-  // tables at min_capacity, a 4-slot submit ring) plus a fixed base for the
-  // binary, the wheel and the channel vector. Measured: ~40 KB/peer at 100k
-  // peers, ~45 KB/peer at 2k (fixed costs amortize less).
+  // tables at their 16-slot floor, a 4-slot submit ring) plus a fixed base
+  // for the binary, the wheel and the channel vector. Measured: ~40 KB/peer
+  // at 100k peers, ~45 KB/peer at 2k (fixed costs amortize less).
   const std::size_t kPerPeerBudget = 48 * 1024;
   const std::size_t rss_budget =
       std::size_t{128} * 1024 * 1024 + npeers * kPerPeerBudget;

@@ -1,6 +1,10 @@
 // Engine configuration. Every knob the paper discusses (strategy selection,
 // lookahead window, Nagle-style delay, rearrangement evaluation budget,
-// multirail policy) is a field here so benchmarks can sweep them.
+// multirail policy) is a field here so benchmarks can sweep them. A value
+// that nothing varies is a named constant next to its one user instead
+// (e.g. Engine::kRelMaxRetries, PayloadSlab::kMaxBuffers,
+// TokenTable::kMinCapacity): every independent field doubles the
+// configurations that tests and benches must cover.
 #pragma once
 
 #include <array>
@@ -44,16 +48,9 @@ struct EngineConfig {
   /// Rail selection for eager messages at submit time.
   EagerRailPolicy eager_rail = EagerRailPolicy::ClassPinned;
 
-  /// SendMode::Cheaper copies fragments up to this size (larger ones are
-  /// referenced in place, as SendMode::Later).
-  std::size_t cheaper_copy_bound = 4096;
-
   /// Initial traffic-class → rail assignment (index = TrafficClass value).
   /// Rails beyond the actual rail count wrap modulo rail count.
   std::array<RailId, kTrafficClassCount> class_rail = {0, 0, 0, 0};
-
-  /// Verify header CRCs on packet decode.
-  bool crc_check = true;
 
   // --- Reliability layer (off by default: lossless fabrics pay nothing) ---
 
@@ -81,33 +78,6 @@ struct EngineConfig {
 
   /// Ceiling for the exponential RTO backoff.
   Nanos rel_rto_max = 10 * kNanosPerMilli;
-
-  /// Consecutive timeout rounds (backoffs without forward progress) before
-  /// a rail is declared Down and its traffic fails over.
-  std::size_t rel_max_retries = 10;
-
-  // --- Per-peer memory budgets (million-flow capacity; cap.* counters) -----
-
-  /// Payload-slab free-list depth per peer. Completed buffers beyond this
-  /// are released immediately (counted as cap.slab_sheds).
-  std::size_t slab_buffers = 64;
-
-  /// Largest buffer the payload slab retains; bigger ones are never pooled.
-  std::size_t slab_max_capacity = 64 * 1024;
-
-  /// Smallest slot-array capacity (rounded up to a power of two) for the
-  /// per-peer token tables (inflight, rendezvous, pending gets, ...).
-  std::size_t table_min_capacity = 16;
-
-  /// Shrink token tables back toward table_min_capacity when a flow burst
-  /// drains (<= 1/8 load). Rehashes are counted as cap.table_shrinks /
-  /// cap.table_growths.
-  bool table_shrink = true;
-
-  /// Reliability: how many recently-completed rendezvous tokens each peer
-  /// remembers for cross-rail replay dedup. Older tokens are evicted FIFO
-  /// (counted as cap.rdv_done_evictions).
-  std::size_t rdv_done_window = 1024;
 
   // --- Threading: submit ring + progress threads ---------------------------
 

@@ -38,6 +38,15 @@ struct ProgThreadId {
   std::size_t idx = 0;
 };
 thread_local ProgThreadId t_prog_id;
+
+/// SendMode::Cheaper copies fragments up to this size; larger ones are
+/// referenced in place, as SendMode::Later.
+constexpr std::size_t kCheaperCopyBound = 4096;
+
+/// Reliability: how many recently completed rendezvous tokens each peer
+/// remembers for cross-rail replay dedup. Older tokens are evicted FIFO
+/// (counted as cap.rdv_done_evictions).
+constexpr std::size_t kRdvDoneWindow = 1024;
 }  // namespace
 
 Engine::Engine(NodeId self, EngineConfig cfg, TimerHost& timers)
@@ -393,7 +402,7 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
       tf.kind = FragKind::Data;
       const bool copy =
           mf.mode == SendMode::Safe ||
-          (mf.mode == SendMode::Cheaper && mf.len <= cfg_.cheaper_copy_bound);
+          (mf.mode == SendMode::Cheaper && mf.len <= kCheaperCopyBound);
       if (copy) {
         if (!mf.owned.empty()) {
           tf.owned = std::move(mf.owned);  // Safe: already copied at pack()
@@ -757,10 +766,10 @@ void Engine::on_send_complete(NodeId peer, RailId rail_id, drv::TrackId track,
       }
     }
   }
+  // Out-of-lap delivery (a driver IO thread, not a progress lap) wakes
+  // waiters only: the pump and owed acks are done, and a timer armed here
+  // wakes the shard's owner through arm_peer_timer.
   wake_peer(*ps);
-  // Out-of-lap delivery (a driver IO thread, not a progress lap): follow-up
-  // work — acks owed, tracks freed — belongs to the shard's owner.
-  note_activity(*ps);
 }
 
 void Engine::apply_send_complete_locked(PeerState& ps, RailId rail_id,
@@ -979,7 +988,7 @@ void Engine::rto_expired_locked(PeerState& ps, Rail& rail, int stream) {
   RelTrack& rt = rail.rel[stream];
   ++rt.retries;
   ps.stats.inc("rel.rto_backoffs");
-  if (rt.retries > cfg_.rel_max_retries) {
+  if (rt.retries > kRelMaxRetries) {
     // The link is not coming back: give up and fail over.
     fail_rail_locked(ps, rail);
     return;
@@ -1096,10 +1105,10 @@ void Engine::note_rdv_done_locked(PeerState& ps, std::uint64_t token) {
   if (!cfg_.reliability) return;
   if (!ps.rdv_rx_done.insert(token)) return;
   ps.rdv_rx_done_fifo.push_back(token);
-  // Bounded by cfg_.rdv_done_window: old entries age out. A replay can
+  // Bounded by kRdvDoneWindow: old entries age out. A replay can
   // only arrive while its sender still holds the un-acked record, which is
   // far fresher than the retention horizon here.
-  while (ps.rdv_rx_done_fifo.size() > cfg_.rdv_done_window) {
+  while (ps.rdv_rx_done_fifo.size() > kRdvDoneWindow) {
     ps.rdv_rx_done.erase(ps.rdv_rx_done_fifo.front());
     ps.rdv_rx_done_fifo.pop_front();
     ps.stats.inc("cap.rdv_done_evictions");
@@ -1131,7 +1140,6 @@ void Engine::on_link_down(NodeId peer, RailId rail_id) {
     pump_peer_locked(*ps);
   }
   wake_peer(*ps);
-  note_activity(*ps);  // failover queued replays for the owner to pump
 }
 
 void Engine::apply_link_down_locked(PeerState& ps, RailId rail_id) {

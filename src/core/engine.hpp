@@ -238,6 +238,10 @@ class Engine final {
 
   static constexpr Nanos kDefaultTimeout = 30ull * kNanosPerSec;
 
+  /// Reliability: consecutive timeout rounds (backoffs without forward
+  /// progress) before a rail is declared Down and its traffic fails over.
+  static constexpr std::size_t kRelMaxRetries = 10;
+
  private:
   friend class Channel;
   friend class IncomingMessage;
@@ -485,8 +489,7 @@ class Engine final {
     PeerState(NodeId peer, const EngineConfig& cfg, std::uint32_t owner_idx)
         : id(peer),
           owner(owner_idx),
-          slab(&stats, PayloadSlab::Limits{cfg.slab_buffers,
-                                           cfg.slab_max_capacity}),
+          slab(&stats),
           strategy(StrategyRegistry::instance().create(cfg.strategy)) {
       if (cfg.submit_ring > 0) {
         std::size_t cap = 2;
@@ -499,8 +502,6 @@ class Engine final {
       // of two, shrink back when a burst drains. Rehashes land in the
       // cap.* counters so a misbehaving workload is visible.
       TokenTableOpts topts;
-      topts.min_capacity = cfg.table_min_capacity;
-      topts.shrink = cfg.table_shrink;
       topts.growths = &stats.handle("cap.table_growths");
       topts.shrinks = &stats.handle("cap.table_shrinks");
       inflight.set_opts(topts);

@@ -60,10 +60,10 @@ void Engine::on_packet(NodeId peer, RailId rail_id, drv::TrackId track,
     if (cfg_.reliability && rail_id < ps->rails.size())
       maybe_send_ack_locked(*ps, *ps->rails[rail_id]);
   }
+  // Only waiters are woken. The shard's owner is not: everything it would
+  // do for this arrival was done above, and a timer armed here wakes it
+  // through arm_peer_timer.
   wake_peer(*ps);
-  // The arrival may have queued work only a progress lap can finish (CTS
-  // responses to send, completions to poll): wake the shard's owner.
-  note_activity(*ps);
 }
 
 void Engine::apply_packet_locked(PeerState& ps, RailId rail_id,
@@ -104,7 +104,7 @@ void Engine::apply_packet_locked(PeerState& ps, RailId rail_id,
 
 void Engine::handle_eager_packet_locked(PeerState& ps, RailId rail_id,
                                         const Bytes& payload) {
-  DecodedPacket pkt = parse_packet(ByteSpan(payload), cfg_.crc_check);
+  DecodedPacket pkt = parse_packet(ByteSpan(payload), /*crc_check=*/true);
   Rail& rail = *ps.rails[rail_id];
   const PacketHeader& ph = pkt.header;
   if (cfg_.reliability && (ph.flags & kPhFlagAck)) {
@@ -450,7 +450,8 @@ std::size_t Engine::rail_pending_bytes_locked(const Rail& rail) {
 void Engine::handle_bulk_packet_locked(PeerState& ps, RailId rail_id,
                                        const Bytes& payload) {
   ByteSpan data;
-  const BulkHeader bh = decode_bulk(ByteSpan(payload), data, cfg_.crc_check);
+  const BulkHeader bh =
+      decode_bulk(ByteSpan(payload), data, /*crc_check=*/true);
   Rail& rail = *ps.rails[rail_id];
   if (cfg_.reliability && (bh.flags & kPhFlagAck))
     process_acks_locked(ps, rail, bh.ack_eager, bh.ack_bulk);

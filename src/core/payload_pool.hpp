@@ -29,16 +29,13 @@ namespace mado::core {
 
 class PayloadSlab {
  public:
-  struct Limits {
-    std::size_t max_buffers;   ///< free-list depth
-    std::size_t max_capacity;  ///< larger buffers are not retained
-  };
-  static constexpr Limits kDefaultLimits{64, 64 * 1024};
+  /// Free-list depth: completed buffers beyond it are released.
+  static constexpr std::size_t kMaxBuffers = 64;
+  /// Largest buffer the slab retains; bigger ones are never pooled.
+  static constexpr std::size_t kMaxCapacity = 64 * 1024;
 
-  explicit PayloadSlab(StatsRegistry* stats = nullptr,
-                       Limits limits = kDefaultLimits)
-      : stats_(stats), limits_(limits) {
-    free_.reserve(limits_.max_buffers);
+  explicit PayloadSlab(StatsRegistry* stats = nullptr) : stats_(stats) {
+    free_.reserve(kMaxBuffers);
   }
 
   /// An empty buffer with capacity >= `reserve_hint`. Reuses a retained
@@ -68,11 +65,10 @@ class PayloadSlab {
   /// buffers above the capacity cap and overflow beyond the depth cap are
   /// freed immediately (retaining them would pin memory) and counted as
   /// cap.slab_sheds — the budget enforcement working as intended, but a
-  /// high rate means the limits are too tight for the workload.
+  /// high rate means the caps are too tight for the workload.
   void recycle(Bytes&& b) {
     if (b.capacity() == 0) return;
-    if (b.capacity() > limits_.max_capacity ||
-        free_.size() >= limits_.max_buffers) {
+    if (b.capacity() > kMaxCapacity || free_.size() >= kMaxBuffers) {
       if (stats_) stats_->inc("cap.slab_sheds");
       Bytes{}.swap(b);  // release now
       return;
@@ -81,12 +77,8 @@ class PayloadSlab {
     free_.push_back(std::move(b));
   }
 
-  std::size_t retained() const { return free_.size(); }
-  const Limits& limits() const { return limits_; }
-
  private:
   StatsRegistry* stats_ = nullptr;
-  Limits limits_;
   std::vector<Bytes> free_;
 };
 

@@ -34,13 +34,8 @@
 
 namespace mado::core {
 
-/// Shared sizing/telemetry knobs, wired once per PeerState.
+/// Telemetry sinks, wired once per PeerState.
 struct TokenTableOpts {
-  /// Smallest capacity (power of two) the table keeps when shrinking.
-  std::size_t min_capacity = 16;
-  /// Shrink the slot array when load falls to <= capacity/8 (down to
-  /// min_capacity). Disable for tables that oscillate around a boundary.
-  bool shrink = true;
   /// Optional counters (StatsRegistry cells): rehash-up / rehash-down.
   std::atomic<std::uint64_t>* growths = nullptr;
   std::atomic<std::uint64_t>* shrinks = nullptr;
@@ -62,13 +57,12 @@ inline std::uint64_t mix64(std::uint64_t x) {
 template <typename V>
 class TokenTable {
  public:
+  /// Smallest slot-array capacity (a power of two): the first allocation,
+  /// and the floor a drained table shrinks back to.
+  static constexpr std::size_t kMinCapacity = 16;
+
   TokenTable() = default;
-  explicit TokenTable(TokenTableOpts opts) : opts_(opts) {
-    if (opts_.min_capacity < 2) opts_.min_capacity = 2;
-    // Round min_capacity up to a power of two.
-    while ((opts_.min_capacity & (opts_.min_capacity - 1)) != 0)
-      ++opts_.min_capacity;
-  }
+  explicit TokenTable(TokenTableOpts opts) : opts_(opts) {}
   ~TokenTable() { clear(); }
   TokenTable(const TokenTable&) = delete;
   TokenTable& operator=(const TokenTable&) = delete;
@@ -98,9 +92,6 @@ class TokenTable {
   void set_opts(TokenTableOpts opts) {
     MADO_ASSERT(cap_ == 0 && size_ == 0);
     opts_ = opts;
-    if (opts_.min_capacity < 2) opts_.min_capacity = 2;
-    while ((opts_.min_capacity & (opts_.min_capacity - 1)) != 0)
-      ++opts_.min_capacity;
   }
 
   std::size_t size() const { return size_; }
@@ -198,13 +189,15 @@ class TokenTable {
   static constexpr std::uint8_t kEmpty = 0;
   static constexpr std::uint8_t kFull = 1;
 
-  void grow() { rehash(cap_ == 0 ? opts_.min_capacity : cap_ * 2, true); }
+  void grow() { rehash(cap_ == 0 ? kMinCapacity : cap_ * 2, true); }
 
+  /// Shrink the slot array when load falls to <= capacity/8 (down to
+  /// kMinCapacity).
   void maybe_shrink() {
-    if (!opts_.shrink || cap_ <= opts_.min_capacity) return;
+    if (cap_ <= kMinCapacity) return;
     if (size_ * 8 > cap_) return;
     std::size_t target = cap_;
-    while (target > opts_.min_capacity && size_ * 4 <= target) target /= 2;
+    while (target > kMinCapacity && size_ * 4 <= target) target /= 2;
     if (target != cap_) rehash(target, false);
   }
 

@@ -121,14 +121,12 @@ ShmWorld::ShmWorld(const EngineConfig& cfg, std::size_t rails)
         return RailPair(std::move(pair.a), std::move(pair.b));
       }) {}
 
-UdpWorld::UdpWorld(const EngineConfig& cfg, std::size_t rails,
-                   const drv::UdpConfig& ucfg)
+UdpWorld::UdpWorld(const EngineConfig& cfg, std::size_t rails)
     : ThreadedWorld(with_reliability(cfg), rails,
-                    [&ucfg, loop = drv::IoLoop::create()] {
+                    [loop = drv::IoLoop::create()] {
                       const drv::Capabilities caps =
                           drv::udp_loopback_profile();
-                      auto pair =
-                          drv::UdpEndpoint::make_pair(loop, caps, caps, ucfg);
+                      auto pair = drv::UdpEndpoint::make_pair(loop, caps, caps);
                       return RailPair(std::move(pair.a), std::move(pair.b));
                     }) {}
 

@@ -59,7 +59,6 @@ class LinkDownGate {
   std::uint64_t outstanding() const {
     return outstanding_.load(std::memory_order_acquire);
   }
-  bool reported() const { return reported_.load(std::memory_order_acquire); }
 
   /// Delivery path, called AFTER draining events: true exactly once, and
   /// only when the break is fully resolved (no send still awaits its

@@ -19,10 +19,28 @@ namespace mado::drv {
 namespace {
 
 constexpr std::size_t kHdrLen = 16;
-constexpr std::size_t kMaxBatch = 32;
 constexpr std::size_t kMaxFrame = 256 * 1024 * 1024;
 /// IPv4 UDP payload ceiling (65535 - 20 IP - 8 UDP).
 constexpr std::size_t kMaxDatagram = 65507;
+/// Largest datagram emitted (header + payload): balances syscalls-per-byte
+/// against pipelining inside the flow-control window.
+constexpr std::size_t kMtu = 32 * 1024;
+static_assert(kMtu > kHdrLen && kMtu <= kMaxDatagram,
+              "udp mtu must hold the header and fit one IPv4 datagram");
+/// Payload bytes per datagram.
+constexpr std::size_t kChunk = kMtu - kHdrLen;
+/// Datagrams per sendmmsg/recvmmsg call.
+constexpr std::size_t kBatch = 32;
+/// Flow-control window in charged bytes (wire bytes + a per-datagram
+/// allowance for kernel skb overhead). Clamped at connect() time to half
+/// the socket's actual receive buffer, so the window can never overrun a
+/// default-sized rcvbuf.
+constexpr std::size_t kWindowBytes = 256 * 1024;
+/// Requested SO_RCVBUF/SO_SNDBUF (the kernel caps by rmem_max/wmem_max).
+constexpr int kSockbufBytes = 1024 * 1024;
+/// Reassembly bound per (endpoint, track): beyond this many pending frames
+/// the oldest incomplete one is dropped (udp.reasm_drops).
+constexpr std::size_t kMaxPendingFrames = 64;
 /// Receive scratch slot; any legal datagram fits.
 constexpr std::size_t kRxSlot = 65536;
 /// Per-datagram flow-control surcharge: the kernel charges the receive
@@ -45,6 +63,19 @@ constexpr Nanos kAckSolicitAfter = 2 * kNanosPerMilli;
 /// while later frames wait behind it is presumed lost and dropped (the
 /// reliability layer retransmits it as a fresh frame).
 constexpr Nanos kReasmStall = 10 * kNanosPerMilli;
+/// Window-blocked with no ack progress for this long → assume the acks (or
+/// the data) died on the wire and reset the window so the engine's
+/// retransmission can flow. Counted in udp.window_resets.
+constexpr Nanos kWindowResetAfter = 20 * kNanosPerMilli;
+/// A completed frame stuck behind a lost lower-seq frame is released after
+/// this long (counts udp.gap_skips); driver FIFO covers delivered frames,
+/// the reliability layer recovers the gap.
+constexpr Nanos kGapSkipAfter = 2 * kNanosPerMilli;
+/// Send a keepalive ping after this much rx silence.
+constexpr Nanos kPingInterval = 200 * kNanosPerMilli;
+/// Declare the peer dead after this much rx silence (backstop for the
+/// ECONNREFUSED fast path, which needs the peer's port to be closed).
+constexpr Nanos kPeerTimeout = 2 * kNanosPerSec;
 
 std::uint64_t charge(std::size_t wire_len) {
   return static_cast<std::uint64_t>(wire_len) + kChargeOverhead;
@@ -122,7 +153,7 @@ Capabilities udp_loopback_profile() {
   c.max_gather_segments = 1;
   c.track_count = 2;
   c.lossless = false;  // Engine::add_rail demands cfg.reliability
-  c.datagram_mtu = UdpConfig{}.mtu;
+  c.datagram_mtu = kMtu;
   // Loopback through two event loops: syscall-dominated overheads, a few
   // GB/s of stream bandwidth, ~15 µs one-way through epoll + recvmmsg.
   c.cost.pio_overhead = 2000;
@@ -181,20 +212,19 @@ void UdpEndpoint::handle_readable() {
   // Receive scratch, one per loop thread: every endpoint the loop serves
   // shares it, and it lives only within this call.
   thread_local std::vector<std::uint8_t> rx_buf;
-  if (rx_buf.empty()) rx_buf.resize(kMaxBatch * kRxSlot);
-  mmsghdr msgs[kMaxBatch];
-  iovec iovs[kMaxBatch];
-  const std::size_t batch = std::min(cfg_.batch, kMaxBatch);
+  if (rx_buf.empty()) rx_buf.resize(kBatch * kRxSlot);
+  mmsghdr msgs[kBatch];
+  iovec iovs[kBatch];
   for (;;) {
     std::memset(msgs, 0, sizeof msgs);
-    for (std::size_t i = 0; i < batch; ++i) {
+    for (std::size_t i = 0; i < kBatch; ++i) {
       iovs[i].iov_base = rx_buf.data() + i * kRxSlot;
       iovs[i].iov_len = kRxSlot;
       msgs[i].msg_hdr.msg_iov = &iovs[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
     }
     const int n =
-        ::recvmmsg(fd_, msgs, static_cast<unsigned>(batch), 0, nullptr);
+        ::recvmmsg(fd_, msgs, static_cast<unsigned>(kBatch), 0, nullptr);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -213,7 +243,7 @@ void UdpEndpoint::handle_readable() {
     if (io.broken) return;
     deliver_ready_frames(now);
     flush_ack(false);
-    if (static_cast<std::size_t>(n) < batch) break;
+    if (static_cast<std::size_t>(n) < kBatch) break;
   }
 }
 
@@ -308,7 +338,7 @@ void UdpEndpoint::handle_datagram(const std::uint8_t* data, std::size_t len,
   if (++r.have == r.nfrags) r.complete = true;
   // Reassembly bound: drop the oldest incomplete frame when the pending
   // set overflows (completed frames drain via ordered release below).
-  if (tr.pend.size() > cfg_.max_pending_frames) {
+  if (tr.pend.size() > kMaxPendingFrames) {
     for (auto it = tr.pend.begin(); it != tr.pend.end(); ++it) {
       if (it->second.complete) continue;
       counters_.reasm_drops.fetch_add(1, std::memory_order_relaxed);
@@ -349,7 +379,7 @@ void UdpEndpoint::deliver_ready_frames(Nanos now) {
       // Gap: the smallest pending seq is ahead of next_seq, so at least one
       // whole frame vanished. Release a completed frame past the gap after
       // a short hold (loopback reordering is rare; loss is the usual cause).
-      if (r.complete && now - r.complete_at >= cfg_.gap_skip_after) {
+      if (r.complete && now - r.complete_at >= kGapSkipAfter) {
         counters_.gap_skips.fetch_add(1, std::memory_order_relaxed);
         tr.next_seq = it->first;
         continue;
@@ -378,34 +408,32 @@ void UdpEndpoint::pump_tx(Nanos now) {
     return;
   }
   if (io.want_writable) return;  // waiting for EPOLLOUT
-  const std::size_t batch = std::min(cfg_.batch, kMaxBatch);
   while (!io.q.empty()) {
-    mmsghdr msgs[kMaxBatch];
-    iovec iovs[kMaxBatch][2];
-    std::uint8_t hdrs[kMaxBatch][kHdrLen];
+    mmsghdr msgs[kBatch];
+    iovec iovs[kBatch][2];
+    std::uint8_t hdrs[kBatch][kHdrLen];
     struct Adv {
       std::size_t bytes = 0;
       std::uint64_t charge = 0;
       bool frame_done = false;
-    } adv[kMaxBatch];
+    } adv[kBatch];
     std::memset(msgs, 0, sizeof msgs);
     unsigned built = 0;
     std::uint64_t pending_charge = 0;
     std::size_t qi = 0;
     std::size_t off = io.cur_off;
-    while (built < batch && qi < io.q.size()) {
+    while (built < kBatch && qi < io.q.size()) {
       auto& item = io.q[qi];
       if (!item.seq_assigned) {
         item.seq = io.next_seq[item.track]++;
         item.seq_assigned = true;
       }
       const std::size_t flen = item.payload.size();
-      const std::size_t chunk = chunk_;
       const auto nfrags = static_cast<std::uint32_t>(
-          flen == 0 ? 1 : (flen + chunk - 1) / chunk);
-      const std::size_t plen = flen == 0 ? 0 : std::min(chunk, flen - off);
+          flen == 0 ? 1 : (flen + kChunk - 1) / kChunk);
+      const std::size_t plen = flen == 0 ? 0 : std::min(kChunk, flen - off);
       const auto frag =
-          static_cast<std::uint32_t>(flen == 0 ? 0 : off / chunk);
+          static_cast<std::uint32_t>(flen == 0 ? 0 : off / kChunk);
       const std::uint64_t ch = charge(kHdrLen + plen);
       if (io.tx_charged + pending_charge + ch >
           io.peer_acked + window_)
@@ -446,7 +474,7 @@ void UdpEndpoint::pump_tx(Nanos now) {
       if (io.blocked_since == 0) {
         io.blocked_since = now;
         counters_.window_stalls.fetch_add(1, std::memory_order_relaxed);
-      } else if (now - io.blocked_since >= cfg_.window_reset_after) {
+      } else if (now - io.blocked_since >= kWindowResetAfter) {
         io.peer_acked = io.tx_charged;
         io.blocked_since = 0;
         counters_.window_resets.fetch_add(1, std::memory_order_relaxed);
@@ -605,12 +633,11 @@ void UdpEndpoint::slow_tick(Nanos now) {
   }
   if (io.ack_pending) flush_ack(true);
   const Nanos silence = now - io.last_rx;
-  if (silence >= cfg_.peer_timeout) {
+  if (silence >= kPeerTimeout) {
     break_link("peer timeout");
     return;
   }
-  if (silence >= cfg_.ping_interval &&
-      now - io.last_ping >= cfg_.ping_interval) {
+  if (silence >= kPingInterval && now - io.last_ping >= kPingInterval) {
     io.last_ping = now;
     send_ctrl_datagram(kTypePing);
   }
@@ -620,16 +647,11 @@ void UdpEndpoint::slow_tick(Nanos now) {
 // UdpEndpoint
 // ---------------------------------------------------------------------------
 
-UdpEndpoint::UdpEndpoint(std::shared_ptr<IoLoop> loop, Capabilities caps,
-                         UdpConfig cfg)
-    : loop_(std::move(loop)), caps_(std::move(caps)), cfg_(cfg) {
-  MADO_CHECK_MSG(cfg_.mtu > kHdrLen, "udp mtu must exceed the header");
-  cfg_.mtu = std::min(cfg_.mtu, kMaxDatagram);
-  cfg_.batch = std::max<std::size_t>(1, std::min(cfg_.batch, kMaxBatch));
-  chunk_ = cfg_.mtu - kHdrLen;
+UdpEndpoint::UdpEndpoint(std::shared_ptr<IoLoop> loop, Capabilities caps)
+    : loop_(std::move(loop)), caps_(std::move(caps)) {
   // Honest advertisement: the wire drops, and the driver flattens.
   caps_.lossless = false;
-  caps_.datagram_mtu = cfg_.mtu;
+  caps_.datagram_mtu = kMtu;
   io_.next_seq.assign(caps_.track_count, 0);
   io_.rx.assign(caps_.track_count, TrackRx{});
 }
@@ -638,11 +660,9 @@ UdpEndpoint::~UdpEndpoint() { close(); }
 
 std::unique_ptr<UdpEndpoint> UdpEndpoint::bind(std::shared_ptr<IoLoop> loop,
                                                const Capabilities& caps,
-                                               const UdpConfig& cfg,
                                                std::uint16_t port) {
   MADO_CHECK_MSG(loop, "udp endpoint needs a loop");
-  std::unique_ptr<UdpEndpoint> ep(
-      new UdpEndpoint(std::move(loop), caps, cfg));
+  std::unique_ptr<UdpEndpoint> ep(new UdpEndpoint(std::move(loop), caps));
   ep->open_and_bind(port);
   return ep;
 }
@@ -650,7 +670,7 @@ std::unique_ptr<UdpEndpoint> UdpEndpoint::bind(std::shared_ptr<IoLoop> loop,
 void UdpEndpoint::open_and_bind(std::uint16_t port) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) throw_errno("socket");
-  const int buf = static_cast<int>(cfg_.sockbuf_bytes);
+  const int buf = kSockbufBytes;
   // Best effort: the kernel clamps at rmem_max/wmem_max; the flow-control
   // window adapts to whatever was actually granted below.
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &buf, sizeof buf);
@@ -686,11 +706,10 @@ void UdpEndpoint::connect(const std::string& ip, std::uint16_t port) {
   int rcv = 0;
   socklen_t rlen = sizeof rcv;
   ::getsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcv, &rlen);
-  window_ = cfg_.window_bytes;
+  window_ = kWindowBytes;
   if (rcv > 0)
     window_ = std::min(window_, static_cast<std::size_t>(rcv) / 2);
-  window_ = std::max(window_,
-                     static_cast<std::size_t>(charge(kHdrLen + chunk_)));
+  window_ = std::max(window_, static_cast<std::size_t>(charge(kMtu)));
   connected_.store(true, std::memory_order_release);
   io_.last_rx = now_ns();
   loop_->add(this, fd_, /*ticks=*/true);
@@ -699,11 +718,10 @@ void UdpEndpoint::connect(const std::string& ip, std::uint16_t port) {
 
 UdpEndpoint::PairResult UdpEndpoint::make_pair(std::shared_ptr<IoLoop> loop,
                                                const Capabilities& caps_a,
-                                               const Capabilities& caps_b,
-                                               const UdpConfig& cfg) {
+                                               const Capabilities& caps_b) {
   PairResult r;
-  r.a = bind(loop, caps_a, cfg);
-  r.b = bind(loop, caps_b, cfg);
+  r.a = bind(loop, caps_a);
+  r.b = bind(loop, caps_b);
   r.a->connect("127.0.0.1", r.b->local_port());
   r.b->connect("127.0.0.1", r.a->local_port());
   return r;
@@ -720,7 +738,7 @@ void UdpEndpoint::send(TrackId track, const GatherList& gl,
   item.token = token;
   item.payload = gl.flatten();  // segments only live until completion
   MADO_CHECK_MSG(item.payload.size() <= kMaxFrame, "oversized frame");
-  MADO_CHECK_MSG((item.payload.size() + chunk_ - 1) / chunk_ <= 0xffff,
+  MADO_CHECK_MSG((item.payload.size() + kChunk - 1) / kChunk <= 0xffff,
                  "frame needs more than 65535 fragments at this MTU");
   gate_.accept();
   tx_.push(std::move(item));

@@ -50,38 +50,6 @@
 
 namespace mado::drv {
 
-struct UdpConfig {
-  /// Largest datagram emitted (header + payload). Bounded by the IPv4 UDP
-  /// maximum (65507); the default balances syscalls-per-byte against
-  /// pipelining inside the flow-control window.
-  std::size_t mtu = 32 * 1024;
-  /// Flow-control window in charged bytes (wire bytes + a per-datagram
-  /// allowance for kernel skb overhead). Clamped at connect() time to half
-  /// the socket's actual receive buffer, so the window can never overrun
-  /// a default-sized rcvbuf.
-  std::size_t window_bytes = 256 * 1024;
-  /// Requested SO_RCVBUF/SO_SNDBUF (the kernel caps by rmem_max/wmem_max).
-  std::size_t sockbuf_bytes = 1 * 1024 * 1024;
-  /// Datagrams per sendmmsg/recvmmsg call (capped at kMaxBatch).
-  std::size_t batch = 32;
-  /// Send a keepalive ping after this much rx silence.
-  Nanos ping_interval = 200 * 1000 * 1000;      // 200 ms
-  /// Declare the peer dead after this much rx silence (backstop for the
-  /// ECONNREFUSED fast path, which needs the peer's port to be closed).
-  Nanos peer_timeout = 2ull * 1000 * 1000 * 1000;  // 2 s
-  /// Window-blocked with no ack progress for this long → assume the acks
-  /// (or the data) died on the wire and reset the window so the engine's
-  /// retransmission can flow. Counted in udp.window_resets.
-  Nanos window_reset_after = 20 * 1000 * 1000;  // 20 ms
-  /// A completed frame stuck behind a lost lower-seq frame is released
-  /// after this long (counts udp.gap_skips); driver FIFO covers delivered
-  /// frames, the reliability layer recovers the gap.
-  Nanos gap_skip_after = 2 * 1000 * 1000;  // 2 ms
-  /// Reassembly bound per (endpoint, track): beyond this many pending
-  /// frames the oldest incomplete one is dropped (udp.reasm_drops).
-  std::size_t max_pending_frames = 64;
-};
-
 /// Monotonic driver counters, written by the loop thread, readable from any
 /// thread (relaxed). The `udp.*` names in docs/counters.md map 1:1.
 struct UdpCounters {
@@ -118,17 +86,10 @@ class UdpEndpoint final : public DriverEndpoint, private IoLoop::Source {
   /// by `loop` — the analogue of SocketEndpoint::make_pair.
   static PairResult make_pair(std::shared_ptr<IoLoop> loop,
                               const Capabilities& caps_a,
-                              const Capabilities& caps_b,
-                              const UdpConfig& cfg = {});
+                              const Capabilities& caps_b);
   /// As above, on a loop of the pair's own.
-  static PairResult make_pair(const Capabilities& caps_a,
-                              const Capabilities& caps_b,
-                              const UdpConfig& cfg = {}) {
-    return make_pair(IoLoop::create(), caps_a, caps_b, cfg);
-  }
-  static PairResult make_pair(const Capabilities& caps,
-                              const UdpConfig& cfg = {}) {
-    return make_pair(caps, caps, cfg);
+  static PairResult make_pair(const Capabilities& caps) {
+    return make_pair(IoLoop::create(), caps, caps);
   }
 
   /// Multi-process path: bind an unconnected endpoint on 127.0.0.1 (port 0
@@ -136,7 +97,6 @@ class UdpEndpoint final : public DriverEndpoint, private IoLoop::Source {
   /// epoll registration start at connect().
   static std::unique_ptr<UdpEndpoint> bind(std::shared_ptr<IoLoop> loop,
                                            const Capabilities& caps,
-                                           const UdpConfig& cfg = {},
                                            std::uint16_t port = 0);
   std::uint16_t local_port() const { return local_port_; }
   void connect(const std::string& ip, std::uint16_t port);
@@ -163,8 +123,7 @@ class UdpEndpoint final : public DriverEndpoint, private IoLoop::Source {
   void set_rx_loss(double probability, std::uint64_t seed);
 
  private:
-  UdpEndpoint(std::shared_ptr<IoLoop> loop, Capabilities caps,
-              UdpConfig cfg);
+  UdpEndpoint(std::shared_ptr<IoLoop> loop, Capabilities caps);
 
   void open_and_bind(std::uint16_t port);
 
@@ -244,11 +203,9 @@ class UdpEndpoint final : public DriverEndpoint, private IoLoop::Source {
 
   std::shared_ptr<IoLoop> loop_;
   Capabilities caps_;
-  UdpConfig cfg_;
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
-  std::size_t chunk_ = 0;         ///< payload bytes per datagram
-  std::size_t window_ = 0;        ///< effective window (rcvbuf-clamped)
+  std::size_t window_ = 0;  ///< effective window (rcvbuf-clamped)
   std::atomic<bool> connected_{false};
   std::atomic<bool> registered_{false};
   EndpointHandler* handler_ = nullptr;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "core/engine.hpp"
@@ -156,6 +157,42 @@ TEST_F(SocketEngineTest, MixedEagerAndRdvStress) {
               pattern(64 * 1024, 500u + static_cast<std::uint32_t>(i)));
   }
   EXPECT_TRUE(world_->node(0).flush());
+}
+
+// An arrival delivered straight from the IO loop is handled in full inside
+// the callback (apply, pump, owed acks), so it wakes the receiver's waiters
+// only, never its parked progress thread. A long park makes a stray wakeup
+// unmistakable: prog.t0.wakeups moves only when the owner leaves a park.
+TEST_F(SocketEngineTest, ArrivalLeavesParkedOwnerAsleep) {
+  EngineConfig cfg;
+  cfg.prog_spin_laps = 4;
+  cfg.prog_yield_laps = 4;
+  cfg.prog_idle_wait = 10 * kNanosPerSec;
+  build(cfg);
+  Engine& rx = world_->node(1);
+  auto counter = [&](const char* name) {
+    return rx.counters_snapshot()[name];
+  };
+  // Wait for the receiver's owner to park: it has slept at least once and
+  // its wakeup count holds still.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the receiver's progress thread never parked";
+    const std::uint64_t w = counter("prog.t0.wakeups");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (counter("prog.t0.idle_sleeps") > 0 && counter("prog.t0.wakeups") == w)
+      break;
+  }
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const std::uint64_t before = counter("prog.t0.wakeups");
+    send_bytes(a_, pattern(64, i));
+    EXPECT_EQ(recv_bytes(b_, 64), pattern(64, i));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(counter("prog.t0.wakeups"), before)
+        << "arrival " << i << " woke the receiver's parked owner";
+  }
 }
 
 // Teardown while traffic flows both ways: the IO loop is inside engine

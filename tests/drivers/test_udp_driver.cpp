@@ -24,8 +24,8 @@ using namespace std::chrono_literals;
 
 class UdpDriverTest : public ::testing::Test {
  protected:
-  void build(const UdpConfig& cfg = {}) {
-    auto pair = UdpEndpoint::make_pair(test_profile(), cfg);
+  void build() {
+    auto pair = UdpEndpoint::make_pair(test_profile());
     a_ = std::move(pair.a);
     b_ = std::move(pair.b);
     a_->set_handler(&ha_);
@@ -74,15 +74,18 @@ TEST_F(UdpDriverTest, RoundTripSingleDatagram) {
 }
 
 TEST_F(UdpDriverTest, FrameLargerThanMtuIsFragmentedAndReassembled) {
-  UdpConfig cfg;
-  cfg.mtu = 2048;  // force many fragments
-  build(cfg);
-  const Bytes p = make_payload(100 * 1024, 5);
+  build();
+  // One frame spanning many MTU-sized datagrams, each carrying the 16-byte
+  // datagram header: 1 MiB at the 32 KiB MTU needs 33 fragments.
+  constexpr std::size_t kFrame = 1024 * 1024;
+  const std::size_t chunk = a_->caps().datagram_mtu - 16;
+  const std::size_t frags = (kFrame + chunk - 1) / chunk;
+  ASSERT_GE(frags, 33u);
+  const Bytes p = make_payload(kFrame, 5);
   send(*a_, kTrackBulk, p, 1);
   ASSERT_TRUE(pump_until([&] { return hb_.packet_count() == 1; }));
   EXPECT_EQ(hb_.packets()[0].payload, p);
-  // ceil(100 KiB / (2048-16)) fragments at minimum.
-  EXPECT_GE(a_->counters().datagrams_tx.load(), 50u);
+  EXPECT_GE(a_->counters().datagrams_tx.load(), frags);
   EXPECT_EQ(b_->counters().frames_rx.load(), 1u);
 }
 
