@@ -10,6 +10,12 @@
 // a million links). Every rank executes the SAME shared schedule instance
 // via Collectives::run_schedule.
 //
+// Small-mesh rows: barrier and 256-double allreduce completion time over
+// 2/4/8/16 fully connected MX nodes through Collectives::barrier() and
+// allreduce_sum(), under the "fifo" baseline and the "aggreg" optimizer —
+// log-scaling in N and fifo/aggreg parity show the optimizer does not hurt
+// latency-bound collective patterns. Same rows in full and --smoke mode.
+//
 // GATES (--no-assert to disable):
 //   - optimality: measured / alpha-beta-bound <= 3.0 at every swept point;
 //   - scaling: the planner-chosen algorithm beats the linear fan-out by
@@ -23,6 +29,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -144,6 +151,37 @@ Measure run_point(CollKind kind, CollRank n, std::uint64_t bytes,
     }
   }
   return m;
+}
+
+/// One barrier (`elems` == 0) or `elems`-double allreduce over `n` fully
+/// connected MX nodes under `strategy`. Returns the virtual completion time,
+/// or 0 when the collective did not complete or an allreduce sum is wrong.
+Nanos run_mesh_collective(CollRank n, const char* strategy,
+                          std::size_t elems) {
+  core::EngineConfig cfg;
+  cfg.strategy = strategy;
+  core::SimWorld world(n, cfg);
+  for (CollRank a = 0; a < n; ++a)
+    for (CollRank b = a + 1; b < n; ++b)
+      world.connect(a, b, drv::mx_myrinet_profile());
+  std::vector<std::unique_ptr<Collectives>> colls;
+  for (CollRank r = 0; r < n; ++r)
+    colls.push_back(std::make_unique<Collectives>(world.node(r), r, n));
+  std::vector<std::vector<double>> in(n, std::vector<double>(elems, 1.0));
+  std::vector<std::vector<double>> out(n, std::vector<double>(elems, 0.0));
+  std::vector<std::unique_ptr<Collectives::Op>> ops;
+  for (CollRank r = 0; r < n; ++r)
+    ops.push_back(elems == 0 ? colls[r]->barrier()
+                             : colls[r]->allreduce_sum(
+                                   in[r].data(), out[r].data(), elems));
+  std::vector<Collectives::Op*> raw;
+  for (auto& op : ops) raw.push_back(op.get());
+  if (!mw::drive_all([&world] { return world.fabric().step(); }, raw))
+    return 0;
+  for (const auto& v : out)
+    for (const double x : v)
+      if (x != static_cast<double>(n)) return 0;
+  return world.now();
 }
 
 void emit(std::FILE* out, const char* fmt, ...) {
@@ -272,10 +310,37 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Small fully connected meshes, identical in full and smoke mode.
+  constexpr CollRank kMeshNodes[] = {2, 4, 8, 16};
+  constexpr std::size_t kMeshElems = 256;
+  std::size_t mesh_rows = 0;
+  for (const char* strategy : {"fifo", "aggreg"}) {
+    for (const std::size_t elems : {std::size_t{0}, kMeshElems}) {
+      const char* op = elems == 0 ? "barrier" : "allreduce";
+      for (const CollRank n : kMeshNodes) {
+        const Nanos t = run_mesh_collective(n, strategy, elems);
+        emit(out,
+             "{\"bench\":\"e14_collectives\",\"op\":\"%s\",\"mesh\":\"full\","
+             "\"nodes\":%u,\"bytes\":%zu,\"strategy\":\"%s\","
+             "\"sim_us\":%.3f}\n",
+             op, n, elems * sizeof(double), strategy,
+             to_usec(t));
+        ++mesh_rows;
+        if (t == 0) {
+          std::fprintf(stderr, "FAIL: mesh %s n=%u (%s) did not complete "
+                       "correctly\n", op, n, strategy);
+          rc = 1;
+        }
+      }
+    }
+  }
+
   if (out) std::fclose(out);
   if (rc == 0)
     std::printf("OK: %zu allreduce + %zu alltoall points, every gap <= "
-                "%.1fx, planner >= %.1fx over linear at >= 64 nodes\n",
-                ar_nodes.size(), a2a_nodes.size(), kMaxGap, kMinSpeedup);
+                "%.1fx, planner >= %.1fx over linear at >= 64 nodes; "
+                "%zu small-mesh rows\n",
+                ar_nodes.size(), a2a_nodes.size(), kMaxGap, kMinSpeedup,
+                mesh_rows);
   return rc;
 }

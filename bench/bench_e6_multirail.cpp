@@ -2,11 +2,11 @@
 // NICs, or even NICs from multiple technologies."
 //
 // Workload: one rendezvous bulk transfer over a heterogeneous pair of rails
-// (MX/Myrinet ≈ 250 MB/s + Elan/Quadrics ≈ 900 MB/s), under the two bulk
-// placement policies.
+// (MX/Myrinet ≈ 250 MB/s + Elan/Quadrics ≈ 900 MB/s), under the two kinds
+// of Bulk class entry: pinned to rail 0, or kAllRails (stripe).
 //
-// Expected shape: single-rail caps at the chosen rail's bandwidth; stripe
-// approaches the 1150 MB/s aggregate — stripe > single.
+// Expected shape: pinned caps at the chosen rail's bandwidth; stripe
+// approaches the 1150 MB/s aggregate — stripe > pinned.
 //
 // Every gate below records its failure and the binary exits non-zero, so a
 // smoke run that only checks the exit status still catches a regression.
@@ -31,10 +31,13 @@ void fail_gate(benchmark::State& state, const char* why) {
   state.SkipWithError(why);
 }
 
-double run_rails_mbps(core::MultirailPolicy policy, std::size_t bytes,
+// One transfer with the Bulk class entry set to `bulk_rail` (a rail id
+// pins it, core::kAllRails stripes it over every rail).
+double run_rails_mbps(core::RailId bulk_rail, std::size_t bytes,
                       const std::vector<drv::Capabilities>& rails) {
   EngineConfig cfg;
-  cfg.multirail = policy;
+  cfg.class_rail[static_cast<std::size_t>(core::TrafficClass::Bulk)] =
+      bulk_rail;
   cfg.rdv_chunk = 64 * 1024;
   cfg.rdv_threshold_override = 32 * 1024;
   SimWorld w(2, cfg);
@@ -49,15 +52,14 @@ double run_rails_mbps(core::MultirailPolicy policy, std::size_t bytes,
   return static_cast<double>(bytes) / to_usec(w.now());
 }
 
-double run_bulk_mbps(core::MultirailPolicy policy, std::size_t bytes) {
+double run_bulk_mbps(core::RailId bulk_rail, std::size_t bytes) {
   return run_rails_mbps(
-      policy, bytes,
+      bulk_rail, bytes,
       {drv::mx_myrinet_profile(), drv::elan_quadrics_profile()});
 }
 
-const char* kPolicyNames[] = {"single-rail", "stripe"};
-const core::MultirailPolicy kPolicies[] = {core::MultirailPolicy::SingleRail,
-                                           core::MultirailPolicy::Stripe};
+const char* kPolicyNames[] = {"pinned", "stripe"};
+const core::RailId kBulkRails[] = {0, core::kAllRails};
 
 // Floor for the stripe row at each size: the best figure either retired
 // chunk splitter (bandwidth-weighted static assignment, shared pull queue)
@@ -71,13 +73,13 @@ constexpr StripeFloor kStripeFloors[] = {
 
 void BM_E6_Multirail(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
-  const auto policy = kPolicies[state.range(1)];
+  const core::RailId bulk_rail = kBulkRails[state.range(1)];
   double mbps = 0;
-  for (auto _ : state) mbps = run_bulk_mbps(policy, bytes);
+  for (auto _ : state) mbps = run_bulk_mbps(bulk_rail, bytes);
   state.counters["MBps"] = mbps;
   state.counters["size_KiB"] = static_cast<double>(bytes >> 10);
   state.SetLabel(kPolicyNames[state.range(1)]);
-  if (policy != core::MultirailPolicy::Stripe) return;
+  if (bulk_rail != core::kAllRails) return;
   for (const StripeFloor& f : kStripeFloors)
     if (f.bytes == state.range(0) && mbps < f.mbps)
       fail_gate(state, "stripe fell below the best retired split policy");
@@ -86,16 +88,17 @@ void BM_E6_Multirail(benchmark::State& state) {
 // ---- Heterogeneous striping sweep -----------------------------------------
 //
 // Rails of deliberately skewed speed: 10:1, 4:1 and the 2:1 "10G + 5G" pair
-// (1250 / 625 bytes per µs). Rail 0 is the SLOW rail on purpose — the
-// default class map pins Bulk to rail 0, so "pinned" below is exactly what
-// a transfer gets today with no striping and no manual rail choice.
+// (1250 / 625 bytes per µs). Rail 0 is the SLOW rail on purpose: "pinned"
+// below is Bulk pinned to rail 0, the rail the eager classes use by
+// default, so it is the worst single-rail choice striping must beat.
 //
 // Each configuration emits one machine-readable JSON line on stdout and the
 // run *asserts* (fail_gate: the bench exits non-zero):
 //   * stripe ≥ 90% of the ideal sum of the two solo-rail bandwidths;
-//   * stripe ≥ 1.5× the single-rail-pinned baseline;
-//   * Stripe on ONE rail is within 2% of the pre-stripe SingleRail
-//     baseline (the policy must degenerate cleanly).
+//   * stripe ≥ 1.5× the pinned-to-rail-0 baseline;
+//   * Bulk pinned to the FAST rail of the two-rail world is within 2% of
+//     the fast rail alone (a pinned entry leaves the plan one rail, and the
+//     idle slow rail must neither take nor steal a chunk).
 
 struct RatePair {
   const char* name;
@@ -123,23 +126,18 @@ void BM_E6_HeteroStripe(benchmark::State& state) {
   const drv::Capabilities fast = rail_at(rp.fast, "fast");
 
   double stripe = 0, pinned = 0, solo_slow = 0, solo_fast = 0;
-  double one_rail_stripe = 0;
+  double pinned_fast = 0;
   for (auto _ : state) {
-    stripe = run_rails_mbps(core::MultirailPolicy::Stripe, bytes,
-                            {slow, fast});
-    pinned = run_rails_mbps(core::MultirailPolicy::SingleRail, bytes,
-                            {slow, fast});
-    solo_slow =
-        run_rails_mbps(core::MultirailPolicy::SingleRail, bytes, {slow});
-    solo_fast =
-        run_rails_mbps(core::MultirailPolicy::SingleRail, bytes, {fast});
-    one_rail_stripe =
-        run_rails_mbps(core::MultirailPolicy::Stripe, bytes, {fast});
+    stripe = run_rails_mbps(core::kAllRails, bytes, {slow, fast});
+    pinned = run_rails_mbps(0, bytes, {slow, fast});
+    solo_slow = run_rails_mbps(0, bytes, {slow});
+    solo_fast = run_rails_mbps(0, bytes, {fast});
+    pinned_fast = run_rails_mbps(1, bytes, {slow, fast});
   }
   const double ideal = solo_slow + solo_fast;
   const double efficiency = stripe / ideal;
   const double speedup = stripe / pinned;
-  const double one_rail_delta = one_rail_stripe / solo_fast - 1.0;
+  const double pinned_fast_delta = pinned_fast / solo_fast - 1.0;
 
   state.counters["stripe_MBps"] = stripe;
   state.counters["pinned_MBps"] = pinned;
@@ -152,18 +150,18 @@ void BM_E6_HeteroStripe(benchmark::State& state) {
       "{\"bench\":\"e6_hetero\",\"ratio\":\"%s\",\"bytes\":%zu,"
       "\"stripe_MBps\":%.1f,\"pinned_MBps\":%.1f,\"solo_slow_MBps\":%.1f,"
       "\"solo_fast_MBps\":%.1f,\"ideal_MBps\":%.1f,\"efficiency\":%.3f,"
-      "\"speedup_vs_pinned\":%.2f,\"one_rail_stripe_MBps\":%.1f,"
-      "\"one_rail_delta\":%.4f}\n",
+      "\"speedup_vs_pinned\":%.2f,\"pinned_fast_MBps\":%.1f,"
+      "\"pinned_fast_delta\":%.4f}\n",
       rp.name, bytes, stripe, pinned, solo_slow, solo_fast, ideal,
-      efficiency, speedup, one_rail_stripe, one_rail_delta);
+      efficiency, speedup, pinned_fast, pinned_fast_delta);
 
   if (efficiency < 0.90)
     fail_gate(state, "striping delivered < 90% of the ideal rail sum");
   if (speedup < 1.5)
-    fail_gate(state, "striping < 1.5x over single-rail pinning");
-  if (one_rail_delta < -0.02 || one_rail_delta > 0.02)
+    fail_gate(state, "striping < 1.5x over pinning to rail 0");
+  if (pinned_fast_delta < -0.02 || pinned_fast_delta > 0.02)
     fail_gate(state,
-              "Stripe on one rail is not within 2% of the SingleRail baseline");
+              "Bulk pinned to the fast rail is not within 2% of it alone");
 }
 
 }  // namespace

@@ -13,7 +13,14 @@
 // Expected shape: control RTT under "shared" inflates by the bulk chunk
 // serialization it queues behind; "separated" stays near the unloaded
 // RTT; "rebalanced" starts like shared and converges to separated.
+//
+// Gates (the binary exits non-zero when one fails): "separated" mean
+// control RTT is at most a tenth of "shared", and "rebalanced" is below
+// "shared". All figures are virtual (simulated) time: identical in every
+// build type.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
 
 #include "bench/bench_util.hpp"
 
@@ -24,6 +31,13 @@ using namespace mado::bench;
 
 enum class Policy { Shared, Separated, Rebalanced };
 
+int g_gate_failures = 0;
+
+void fail_gate(benchmark::State& state, const char* why) {
+  ++g_gate_failures;
+  state.SkipWithError(why);
+}
+
 struct E8Result {
   double mean_rtt_us = 0;
   double worst_rtt_us = 0;
@@ -31,9 +45,8 @@ struct E8Result {
 
 E8Result run_classes(Policy policy) {
   EngineConfig cfg;
-  cfg.multirail = core::MultirailPolicy::SingleRail;  // bulk pinned to rail 0
   cfg.rdv_chunk = 256 * 1024;
-  cfg.class_rail = {0, 0, 0, 0};
+  cfg.class_rail = {0, 0, 0, 0};  // every class, bulk too, on rail 0
   if (policy == Policy::Separated) cfg.class_rail[0] = 1;  // Control → rail 1
   SimWorld w(2, cfg);
   w.connect(0, 1, drv::mx_myrinet_profile());
@@ -81,6 +94,13 @@ E8Result run_classes(Policy policy) {
 
 const char* kNames[] = {"shared", "separated", "rebalanced"};
 
+// The gates compare against the shared run; it is deterministic, so a row
+// run on its own (--benchmark_filter) recomputes it once.
+double shared_mean_rtt_us() {
+  static const double mean = run_classes(Policy::Shared).mean_rtt_us;
+  return mean;
+}
+
 void BM_E8_TrafficClasses(benchmark::State& state) {
   const auto policy = static_cast<Policy>(state.range(0));
   E8Result r;
@@ -88,6 +108,10 @@ void BM_E8_TrafficClasses(benchmark::State& state) {
   state.counters["mean_ctrl_rtt_us"] = r.mean_rtt_us;
   state.counters["worst_ctrl_rtt_us"] = r.worst_rtt_us;
   state.SetLabel(kNames[state.range(0)]);
+  if (policy == Policy::Separated && r.mean_rtt_us > shared_mean_rtt_us() / 10)
+    fail_gate(state, "separated control RTT is above a tenth of shared");
+  if (policy == Policy::Rebalanced && r.mean_rtt_us >= shared_mean_rtt_us())
+    fail_gate(state, "rebalancing did not bring control RTT below shared");
 }
 
 // Second scenario: the contention is INSIDE one rail's collect layer —
@@ -148,4 +172,15 @@ BENCHMARK(BM_E8_BacklogPriority)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  if (g_gate_failures > 0) {
+    std::fprintf(stderr, "bench_e8_traffic_classes: %d gate(s) failed\n",
+                 g_gate_failures);
+    return 1;
+  }
+  return 0;
+}

@@ -1,8 +1,8 @@
 // Engine configuration. Every knob the paper discusses (strategy selection,
 // lookahead window, Nagle-style delay, rearrangement evaluation budget,
-// multirail policy) is a field here so benchmarks can sweep them. A value
-// that nothing varies is a named constant next to its one user instead
-// (e.g. Engine::kRelMaxRetries, PayloadSlab::kMaxBuffers,
+// traffic-class → rail placement) is a field here so benchmarks can sweep
+// them. A value that nothing varies is a named constant next to its one
+// user instead (e.g. Engine::kRelMaxRetries, PayloadSlab::kMaxBuffers,
 // TokenTable::kMinCapacity): every independent field doubles the
 // configurations that tests and benches must cover.
 #pragma once
@@ -43,14 +43,15 @@ struct EngineConfig {
   /// Bulk data is cut into chunks of this size for multirail distribution.
   std::size_t rdv_chunk = 64 * 1024;
 
-  MultirailPolicy multirail = MultirailPolicy::Stripe;
-
-  /// Rail selection for eager messages at submit time.
-  EagerRailPolicy eager_rail = EagerRailPolicy::ClassPinned;
-
-  /// Initial traffic-class → rail assignment (index = TrafficClass value).
-  /// Rails beyond the actual rail count wrap modulo rail count.
-  std::array<RailId, kTrafficClassCount> class_rail = {0, 0, 0, 0};
+  /// Initial traffic-class → rail assignment (index = TrafficClass value),
+  /// the one placement setting for every byte the engine sends. A rail id
+  /// pins the class: its eager fragments, control messages and bulk chunks
+  /// all use that rail (any Up rail if it is Down). Ids beyond the actual
+  /// rail count wrap modulo rail count. kAllRails spreads the class: each
+  /// eager message takes the least-loaded Up rail, and bulk data is striped
+  /// over every Up rail by the cost model. The default pins the eager
+  /// classes to rail 0 and stripes Bulk.
+  std::array<RailId, kTrafficClassCount> class_rail = {0, 0, kAllRails, 0};
 
   // --- Reliability layer (off by default: lossless fabrics pay nothing) ---
 

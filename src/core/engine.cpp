@@ -194,42 +194,36 @@ Engine::PeerState& Engine::peer_ref(NodeId peer) const {
 RailId Engine::rail_for_class_locked(const PeerState& ps,
                                      TrafficClass cls) const {
   MADO_ASSERT(!ps.rails.empty());
-  const RailId wanted = static_cast<RailId>(
-      class_rail_[static_cast<std::size_t>(cls)].load(
-          std::memory_order_relaxed) %
-      ps.rails.size());
+  const RailId entry = class_rail_[static_cast<std::size_t>(cls)].load(
+      std::memory_order_relaxed);
+  if (entry == kAllRails && ps.rails.size() > 1) {
+    // Spread class: least queued + in-flight bytes, normalized by the
+    // rail's effective bandwidth (per-rail hint wins over the profile's
+    // nominal rate) so a loaded fast rail can still beat an idle slow one.
+    bool found = false;
+    std::size_t best = 0;
+    double best_cost = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < ps.rails.size(); ++i) {
+      const Rail& r = *ps.rails[i];
+      if (r.state == RailState::Down) continue;
+      const double load =
+          static_cast<double>(r.backlog.byte_count() + r.inflight_bytes);
+      const double cost = load / r.ep->caps().effective_bandwidth();
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = i;
+        found = true;
+      }
+    }
+    // Every rail is dead — callers fail the operation.
+    return found ? static_cast<RailId>(best) : 0;
+  }
+  const auto wanted = static_cast<RailId>(entry % ps.rails.size());
   if (ps.rails[wanted]->state != RailState::Down) return wanted;
   // Pinned rail is dead: fail over to any surviving rail.
   for (std::size_t i = 0; i < ps.rails.size(); ++i)
     if (ps.rails[i]->state != RailState::Down) return static_cast<RailId>(i);
   return wanted;  // every rail is dead — callers fail the operation
-}
-
-RailId Engine::rail_for_submit_locked(const PeerState& ps,
-                                      TrafficClass cls) const {
-  if (cfg_.eager_rail == EagerRailPolicy::ClassPinned ||
-      ps.rails.size() < 2)
-    return rail_for_class_locked(ps, cls);
-  // LeastLoaded: queued + in-flight bytes, normalized by the rail's
-  // effective bandwidth (per-rail hint wins over the profile's nominal
-  // rate) so a loaded fast rail can still beat an idle slow one.
-  bool found = false;
-  std::size_t best = 0;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < ps.rails.size(); ++i) {
-    const Rail& r = *ps.rails[i];
-    if (r.state == RailState::Down) continue;
-    const double load =
-        static_cast<double>(r.backlog.byte_count() + r.inflight_bytes);
-    const double cost = load / r.ep->caps().effective_bandwidth();
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = i;
-      found = true;
-    }
-  }
-  if (!found) return rail_for_class_locked(ps, cls);  // all rails dead
-  return static_cast<RailId>(best);
 }
 
 // ---- submit path -----------------------------------------------------------
@@ -329,7 +323,7 @@ void Engine::submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
   ChannelState& cs = cit->second;
 
   const auto nfrags = static_cast<std::uint16_t>(msg.fragment_count());
-  const RailId rail_id = rail_for_submit_locked(ps, cs.cls);
+  const RailId rail_id = rail_for_class_locked(ps, cs.cls);
   Rail& rail = *ps.rails[rail_id];
   if (rail.state == RailState::Down) {
     // Every rail died between the submit-side fast check and this drain:
@@ -533,13 +527,15 @@ bool Engine::pop_bulk_chunk_locked(PeerState& ps, Rail& rail,
     rail.bulk_q.pop_front();
     return true;
   }
-  // SingleRail keeps bulk pinned: idle rails never steal.
-  if (cfg_.multirail != MultirailPolicy::Stripe) return false;
   // Work stealing: this rail went idle while a sibling still has queued
   // stripe chunks — the paper's "NIC becomes idle" activation generalized
   // across rails. Rob the tail of the most-loaded Up victim so its head
   // keeps streaming undisturbed; prediction error and mid-transfer load
-  // shifts self-correct this way.
+  // shifts self-correct this way. Only rails the Bulk class entry allows
+  // trade chunks: a pinned entry allows one, which has no one to rob.
+  if (class_rail_[static_cast<std::size_t>(TrafficClass::Bulk)].load(
+          std::memory_order_relaxed) != kAllRails)
+    return false;
   Rail* victim = nullptr;
   std::size_t victim_bytes = 0;
   for (const auto& other : ps.rails) {
@@ -1414,39 +1410,20 @@ Nanos Engine::park_bound() const {
   return std::max(bound, Nanos{1});
 }
 
-void Engine::schedule_peer_timer(Nanos when, std::uint32_t owner,
-                                 std::function<void()> fn) {
-  timers_.schedule_at(when, [this, alive = alive_, owner,
-                             fn = std::move(fn)]() mutable {
+TimerHandle::Callback Engine::peer_timer_cb(
+    std::uint32_t owner, std::function<void(std::uint64_t)> fn) {
+  // Built once per handle: steady-state re-arms reuse this closure, so the
+  // per-packet RTO path never allocates. (The foreign-thread defer below
+  // copies fn — that path only runs under multi-threaded progress, never in
+  // the arm itself.)
+  return [this, alive = alive_, owner,
+          fn = std::move(fn)](std::uint64_t gen) {
     if (!alive->load()) return;
     // Owner affinity: run_due() may execute this on any progress thread
     // (or an application thread self-pumping). If that is not the shard's
     // owner while progress threads run, hand the callback to the owner —
     // the shard's hot state stays on one core and the timer contends with
     // exactly the thread that owns the peer lock anyway.
-    if (prog_running_.load(std::memory_order_acquire) && prog_nthreads_ > 1 &&
-        !(t_prog_id.engine == this && t_prog_id.idx == owner)) {
-      ProgSlot& s = *prog_slots_[owner];
-      {
-        std::lock_guard<std::mutex> lk(s.defer_mu);
-        s.deferred.push_back(std::move(fn));
-      }
-      wake_slot(s);
-      return;
-    }
-    fn();
-  });
-}
-
-TimerHandle::Callback Engine::peer_timer_cb(
-    std::uint32_t owner, std::function<void(std::uint64_t)> fn) {
-  // Same affinity policy as schedule_peer_timer, but built once per handle:
-  // steady-state re-arms reuse this closure, so the per-packet RTO path
-  // never allocates. (The foreign-thread defer below copies fn — that path
-  // only runs under multi-threaded progress, never in the arm itself.)
-  return [this, alive = alive_, owner,
-          fn = std::move(fn)](std::uint64_t gen) {
-    if (!alive->load()) return;
     if (prog_running_.load(std::memory_order_acquire) && prog_nthreads_ > 1 &&
         !(t_prog_id.engine == this && t_prog_id.idx == owner)) {
       ProgSlot& s = *prog_slots_[owner];
@@ -1957,7 +1934,7 @@ void Engine::rebalance_classes() {
   if (best == load.size()) return;  // every rail is dead
   const auto lightest = static_cast<RailId>(best);
   // Latency-sensitive classes follow the least-loaded rail; bulk classes
-  // keep their assignment (their chunks already spread per MultirailPolicy).
+  // keep their map entry (kAllRails already spreads them by load).
   class_rail_[static_cast<std::size_t>(TrafficClass::Control)].store(
       lightest, std::memory_order_relaxed);
   class_rail_[static_cast<std::size_t>(TrafficClass::SmallEager)].store(

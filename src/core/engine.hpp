@@ -11,9 +11,9 @@
 //
 // Also implemented here: the rendezvous protocol (RTS travels as an
 // aggregatable control fragment; data flows on bulk tracks, split over
-// rails per MultirailPolicy), traffic classes with dynamic re-assignment,
-// and the receive side (demultiplexing, unexpected-fragment buffering,
-// incremental unpack).
+// the rails the Bulk class entry allows), traffic classes with dynamic
+// re-assignment, and the receive side (demultiplexing, unexpected-fragment
+// buffering, incremental unpack).
 //
 // Threading model (sharded; docs/internals.md §1 has the full write-up):
 // engine state is partitioned per peer. Each PeerState carries its own
@@ -642,9 +642,10 @@ class Engine final {
 
   // ---- locked internals (callers hold ps.mu) ----------------------------
 
+  /// Rail for one eager fragment, control message or RMA op of class
+  /// `cls`, per the class→rail map: a pinned entry's rail (or any Up rail
+  /// when it is Down), or the least-loaded Up rail for kAllRails.
   RailId rail_for_class_locked(const PeerState& ps, TrafficClass cls) const;
-  /// Rail choice for an eager submission (honors EagerRailPolicy).
-  RailId rail_for_submit_locked(const PeerState& ps, TrafficClass cls) const;
 
   /// Drain the submit ring into the backlog (ring order), then return how
   /// many ops were applied. Called by every peer-lock holder before
@@ -719,11 +720,13 @@ class Engine final {
   void handle_cts_locked(PeerState& ps, ByteSpan payload);
   void note_nfrags_locked(RxMessage& msg, const FragHeader& fh);
   void send_cts_locked(PeerState& ps, const FragHeader& fh, RxSlot& slot);
-  /// Bulk placement at CTS time. Under MultirailPolicy::Stripe the cost
-  /// model (strategy_detail::stripe_shares) splits the transfer into
-  /// per-rail contiguous ranges; under SingleRail, or when no rail can
-  /// carry traffic, the whole transfer goes to the Bulk class rail. Each
-  /// range is then cut into chunks on that rail's queue.
+  /// Bulk placement at CTS time. The cost model
+  /// (strategy_detail::stripe_shares) splits the transfer into per-rail
+  /// contiguous ranges over the rails the Bulk class entry allows: every
+  /// Up rail for kAllRails, else the one pinned rail, which then carries
+  /// it all. When no rail can carry traffic, the whole transfer goes to the
+  /// Bulk class rail. Each range is then cut into chunks on that rail's
+  /// queue.
   void distribute_chunks_locked(PeerState& ps, std::uint64_t token,
                                 RdvTx& rdv);
   /// Bytes that must drain from `rail` before a newly-queued bulk chunk
@@ -772,8 +775,8 @@ class Engine final {
     std::atomic<std::uint64_t> ticket{0};  ///< activity epoch while armed
 
     /// Timer callbacks deferred to this thread (peer-timer affinity: RTO
-    /// and nagle deadlines fire on the shard's owner; see
-    /// schedule_peer_timer). Drained at the top of every lap.
+    /// and nagle deadlines fire on the shard's owner; see peer_timer_cb).
+    /// Drained at the top of every lap.
     std::mutex defer_mu;
     std::vector<std::function<void()>> deferred;
 
@@ -821,17 +824,10 @@ class Engine final {
   /// timer deadline, so an RTO never waits out a full park.
   Nanos park_bound() const;
 
-  /// Schedule a peer-scoped timer with owner affinity: when it fires on a
-  /// foreign thread while progress threads run, the callback is deferred
-  /// to the owning thread's queue (and the owner woken) instead of running
-  /// in place.
-  void schedule_peer_timer(Nanos when, std::uint32_t owner,
-                           std::function<void()> fn);
-
-  /// Wrap `fn` as a TimerHandle callback with the same owner affinity as
-  /// schedule_peer_timer: fired on a foreign thread while progress threads
-  /// run, it defers to the owner's queue and wakes it. Installed ONCE per
-  /// handle; every subsequent re-arm reuses it (allocation-free).
+  /// Wrap `fn` as a TimerHandle callback with owner affinity: fired on a
+  /// foreign thread while progress threads run, it defers to the owning
+  /// thread's queue and wakes it instead of running in place. Installed
+  /// ONCE per handle; every subsequent re-arm reuses it (allocation-free).
   TimerHandle::Callback peer_timer_cb(std::uint32_t owner,
                                       std::function<void(std::uint64_t)> fn);
 

@@ -381,31 +381,33 @@ void Engine::distribute_chunks_locked(PeerState& ps, std::uint64_t token,
   // corrects whatever the prediction gets wrong. The plan's scratch lives
   // in the peer so a rendezvous allocates nothing here.
   const std::size_t chunk_size = std::max<std::size_t>(1, cfg_.rdv_chunk);
-  const bool striping = cfg_.multirail == MultirailPolicy::Stripe;
-  std::vector<std::uint64_t>& shares = ps.stripe_plan;
-  bool planned = false;
-  if (striping) {
-    std::vector<strategy_detail::StripeRail>& cands = ps.stripe_rails;
-    cands.resize(ps.rails.size());
-    for (std::size_t i = 0; i < ps.rails.size(); ++i) {
-      const Rail& rail = *ps.rails[i];
-      cands[i].caps = &rail.ep->caps();
-      cands[i].backlog_bytes = rail_pending_bytes_locked(rail);
-      cands[i].up = rail.state != RailState::Down;
-    }
-    const double imbalance = strategy_detail::stripe_shares(
-        cands, rdv.total, chunk_size, kStripeMinChunk, shares);
-    planned = std::any_of(shares.begin(), shares.end(),
-                          [](std::uint64_t s) { return s > 0; });
-    ps.stats.inc("stripe.transfers");
-    // Histogram values are integral; record the predicted spread in percent.
-    ps.stats.observe("stripe.imbalance_pct",
-                     static_cast<std::uint64_t>(imbalance + 0.5));
+  // The Bulk class entry says which rails may carry the transfer: every Up
+  // rail for kAllRails, else the one rail it pins (its failover pick when
+  // Down), which the plan then hands the whole transfer.
+  const bool spread =
+      class_rail_[static_cast<std::size_t>(TrafficClass::Bulk)].load(
+          std::memory_order_relaxed) == kAllRails;
+  const std::size_t pinned =
+      spread ? 0 : rail_for_class_locked(ps, TrafficClass::Bulk);
+  std::vector<strategy_detail::StripeRail>& cands = ps.stripe_rails;
+  cands.resize(ps.rails.size());
+  for (std::size_t i = 0; i < ps.rails.size(); ++i) {
+    const Rail& rail = *ps.rails[i];
+    cands[i].caps = &rail.ep->caps();
+    cands[i].backlog_bytes = rail_pending_bytes_locked(rail);
+    cands[i].up = rail.state != RailState::Down && (spread || i == pinned);
   }
-  if (!planned) {
-    // SingleRail, or no carrier survived the model (all rails down —
-    // failover handles the rest): everything on the Bulk class rail.
-    shares.assign(ps.rails.size(), 0);
+  std::vector<std::uint64_t>& shares = ps.stripe_plan;
+  const double imbalance = strategy_detail::stripe_shares(
+      cands, rdv.total, chunk_size, kStripeMinChunk, shares);
+  ps.stats.inc("stripe.transfers");
+  // Histogram values are integral; record the predicted spread in percent.
+  ps.stats.observe("stripe.imbalance_pct",
+                   static_cast<std::uint64_t>(imbalance + 0.5));
+  if (std::none_of(shares.begin(), shares.end(),
+                   [](std::uint64_t s) { return s > 0; })) {
+    // No carrier survived the model (all rails down — failover handles the
+    // rest): everything on the Bulk class rail.
     shares[rail_for_class_locked(ps, TrafficClass::Bulk)] = rdv.total;
   }
 
@@ -430,7 +432,7 @@ void Engine::distribute_chunks_locked(PeerState& ps, std::uint64_t token,
     }
   }
   MADO_ASSERT(off == rdv.total);
-  if (striping) ps.stats.inc("stripe.chunks", stripe);
+  ps.stats.inc("stripe.chunks", stripe);
 }
 
 std::size_t Engine::rail_pending_bytes_locked(const Rail& rail) {

@@ -107,11 +107,12 @@ std::size_t take_controls(TxBacklog& backlog, std::size_t budget,
 Nanos packet_cost(const drv::Capabilities& caps, std::size_t payload_bytes,
                   std::size_t payload_segs, std::size_t header_bytes);
 
-// ---- stripe hook (MultirailPolicy::Stripe) ---------------------------------
+// ---- stripe hook (bulk placement) ------------------------------------------
 //
-// The optimizer-side half of heterogeneous bulk striping: given every Up
-// rail's capabilities and current backlog, split a transfer into per-rail
-// byte shares such that all rails are *predicted* to finish simultaneously.
+// The optimizer-side half of heterogeneous bulk striping: given every
+// eligible rail's capabilities and current backlog, split a transfer into
+// per-rail byte shares such that all rails are *predicted* to finish
+// simultaneously.
 // Pure functions of the cost model — exercised directly by the model-based
 // striping tests, and by the engine at CTS time.
 
@@ -121,7 +122,7 @@ struct StripeRail {
   /// Bytes already queued/in flight on the rail (bulk queue + eager backlog
   /// + un-acked wire bytes) that must drain before new chunks move.
   std::size_t backlog_bytes = 0;
-  bool up = true;  ///< Down rails must receive a zero share.
+  bool up = true;  ///< Down or ineligible rails must receive a zero share.
 };
 
 /// Predicted effective bulk throughput of `caps` in bytes/ns when streaming

@@ -24,6 +24,11 @@ using FragIdx = std::uint16_t;
 /// Physical rail (NIC) index toward one peer.
 using RailId = std::uint8_t;
 
+/// Class→rail map entry meaning "no pinned rail": eager traffic of the
+/// class takes the least-loaded Up rail per message, and bulk data stripes
+/// over every Up rail.
+inline constexpr RailId kAllRails = 0xff;
+
 /// How the sender hands a buffer to the library (Madeleine send modes).
 enum class SendMode : std::uint8_t {
   /// Buffer is copied at pack() time; reusable immediately.
@@ -77,29 +82,5 @@ inline const char* to_string(RailState s) {
   }
   return "?";
 }
-
-/// How eager (small-message) traffic picks a rail at submit time.
-enum class EagerRailPolicy : std::uint8_t {
-  /// Use the rail assigned to the message's traffic class (default; the
-  /// class map itself may be re-assigned dynamically).
-  ClassPinned,
-  /// Pick the rail with the least queued+in-flight bytes at submit time —
-  /// per-message dynamic load balancing across rails.
-  LeastLoaded,
-};
-
-/// How rendezvous bulk data is spread over multiple rails.
-enum class MultirailPolicy : std::uint8_t {
-  /// All bulk chunks use the Bulk class's rail.
-  SingleRail,
-  /// Cost-model striping: the optimizer splits the transfer into per-rail
-  /// contiguous byte ranges sized so every rail's *predicted completion
-  /// time* (NicModel PIO/DMA thresholds + per-rail backlog) is equal, then
-  /// cuts each range into chunks on that rail's queue. Idle rails steal
-  /// queued chunks from loaded ones (the paper's "NIC becomes idle"
-  /// activation, generalized across rails), so prediction error and
-  /// mid-transfer load shifts self-correct. The default.
-  Stripe,
-};
 
 }  // namespace mado::core

@@ -718,9 +718,15 @@ TEST(TimerIntegration, ParkedOwnerHonorsTimerArmedAfterPark) {
   hub.start_progress_thread();
   peer.start_progress_thread();
   Channel ch = hub.open_channel(1, 1);
+  // The only peer's shard belongs to progress thread 0.
+  auto owner_counter = [&hub](const char* name) {
+    return hub.counters_snapshot()[std::string("prog.t0.") + name];
+  };
   for (int i = 0; i < 8; ++i) {
     // Let the hub's progress thread run dry and park.
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    const std::uint64_t wakeups0 = owner_counter("wakeups");
+    const std::uint64_t sleeps0 = owner_counter("idle_sleeps");
     const auto t0 = std::chrono::steady_clock::now();
     // A lone small fragment: the nagle strategy holds it and arms a 2ms
     // timer — the only thing that can flush it on an otherwise idle engine.
@@ -729,8 +735,13 @@ TEST(TimerIntegration, ParkedOwnerHonorsTimerArmedAfterPark) {
     const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-    EXPECT_LT(ms, 100)
-        << "nagle deadline slept out the park bound, iter " << i;
+    // A missed timer-arm wakeup shows as a full park: no new wakeup. A
+    // merely slow host (sanitizers) shows wakeups that arrived late.
+    EXPECT_LT(ms, 100) << "nagle deadline slept out the park bound, iter "
+                       << i << " (" << ms << " ms; owner wakeups +"
+                       << owner_counter("wakeups") - wakeups0
+                       << ", idle_sleeps +"
+                       << owner_counter("idle_sleeps") - sleeps0 << ")";
   }
   hub.stop_progress_thread();
   peer.stop_progress_thread();

@@ -1,5 +1,6 @@
-// Multirail and traffic-class tests: bulk placement (Stripe and SingleRail)
-// over homogeneous and heterogeneous rails, class→rail assignment, and
+// Multirail and traffic-class tests: bulk placement (Bulk striped over
+// kAllRails or pinned to one rail) over homogeneous and heterogeneous
+// rails, the class→rail map for eager traffic (pinned or least-loaded), and
 // dynamic re-assignment (paper §2).
 #include <gtest/gtest.h>
 
@@ -59,9 +60,9 @@ TEST_F(MultirailTest, StripeUsesAllRails) {
   EXPECT_EQ(by_rail.at(0) + by_rail.at(1), data.size());
 }
 
-TEST_F(MultirailTest, SingleRailPolicyKeepsBulkOnOneRail) {
+TEST_F(MultirailTest, PinnedBulkEntryKeepsBulkOnOneRail) {
   EngineConfig cfg;
-  cfg.multirail = MultirailPolicy::SingleRail;
+  cfg.class_rail[static_cast<std::size_t>(TrafficClass::Bulk)] = 0;
   cfg.rdv_chunk = 4096;
   build(cfg, 2);
   Tracer tracer(1 << 12);
@@ -71,11 +72,43 @@ TEST_F(MultirailTest, SingleRailPolicyKeepsBulkOnOneRail) {
   EXPECT_EQ(recv_bytes(b_, data.size()), data);
   EXPECT_TRUE(world_->node(0).flush());
   world_->node(0).set_tracer(nullptr);
-  // Idle rails never steal under SingleRail: rail 0 (the Bulk class rail)
-  // carried every chunk.
+  // A pinned entry leaves one eligible rail, so the idle rail never
+  // steals: rail 0 (the Bulk class rail) carried every chunk.
   const auto by_rail = bulk_tx_bytes_by_rail(tracer);
   ASSERT_EQ(by_rail.size(), 1u);
   EXPECT_EQ(by_rail.at(0), data.size());
+  EXPECT_EQ(world_->node(0).stats().counter("stripe.steals"), 0u);
+}
+
+TEST_F(MultirailTest, SetClassRailSwitchesBulkBetweenPinnedAndSpread) {
+  EngineConfig cfg;
+  cfg.rdv_chunk = 4096;
+  build(cfg, 2);
+  Engine& tx = world_->node(0);
+  Tracer tracer(1 << 12);
+  tx.set_tracer(&tracer);
+  const Bytes data = pattern(64 * 1024);
+
+  tx.set_class_rail(TrafficClass::Bulk, 1);
+  send_bytes(a_, data);
+  EXPECT_EQ(recv_bytes(b_, data.size()), data);
+  EXPECT_TRUE(tx.flush());
+  auto by_rail = bulk_tx_bytes_by_rail(tracer);
+  ASSERT_EQ(by_rail.size(), 1u);
+  EXPECT_EQ(by_rail.at(1), data.size());
+  EXPECT_EQ(tx.stats().counter("stripe.steals"), 0u);
+
+  tracer.clear();
+  tx.set_class_rail(TrafficClass::Bulk, kAllRails);
+  send_bytes(a_, data);
+  EXPECT_EQ(recv_bytes(b_, data.size()), data);
+  EXPECT_TRUE(tx.flush());
+  tx.set_tracer(nullptr);
+  by_rail = bulk_tx_bytes_by_rail(tracer);
+  ASSERT_EQ(by_rail.size(), 2u);
+  EXPECT_GT(by_rail.at(0), 0u);
+  EXPECT_GT(by_rail.at(1), 0u);
+  EXPECT_EQ(by_rail.at(0) + by_rail.at(1), data.size());
 }
 
 TEST_F(MultirailTest, HeterogeneousRailsMxPlusElan) {
@@ -93,9 +126,9 @@ TEST_F(MultirailTest, HeterogeneousRailsMxPlusElan) {
 }
 
 TEST_F(MultirailTest, StripeBeatsSingleRailOnBandwidth) {
-  auto run = [&](MultirailPolicy pol) {
+  auto run = [&](RailId bulk_rail) {
     EngineConfig cfg;
-    cfg.multirail = pol;
+    cfg.class_rail[static_cast<std::size_t>(TrafficClass::Bulk)] = bulk_rail;
     cfg.rdv_chunk = 16 * 1024;
     build(cfg, 2, drv::mx_myrinet_profile());
     const Bytes data = pattern(1 << 20);
@@ -104,8 +137,8 @@ TEST_F(MultirailTest, StripeBeatsSingleRailOnBandwidth) {
     world_->node(0).flush();
     return world_->now();
   };
-  const Nanos single = run(MultirailPolicy::SingleRail);
-  const Nanos stripe = run(MultirailPolicy::Stripe);
+  const Nanos single = run(0);
+  const Nanos stripe = run(kAllRails);
   // Two equal rails: striping should approach half the time.
   EXPECT_LT(stripe, single * 3 / 4);
 }
@@ -150,8 +183,7 @@ TEST_F(MultirailTest, SetClassRailTakesEffectForNewMessages) {
 
 TEST_F(MultirailTest, RebalanceMovesLatencyClassesOffLoadedRail) {
   EngineConfig cfg;
-  cfg.multirail = MultirailPolicy::SingleRail;  // pin bulk to its rail
-  cfg.class_rail = {0, 0, 0, 0};                // everything on rail 0
+  cfg.class_rail = {0, 0, 0, 0};  // everything, bulk too, on rail 0
   world_ = std::make_unique<SimWorld>(2, cfg);
   world_->connect(0, 1, drv::mx_myrinet_profile());
   world_->connect(0, 1, drv::mx_myrinet_profile());
@@ -187,7 +219,8 @@ TEST_F(MultirailTest, AutoRebalanceTicks) {
 
 TEST_F(MultirailTest, LeastLoadedEagerPolicySpreadsAcrossRails) {
   EngineConfig cfg;
-  cfg.eager_rail = EagerRailPolicy::LeastLoaded;
+  cfg.class_rail[static_cast<std::size_t>(TrafficClass::SmallEager)] =
+      kAllRails;
   world_ = std::make_unique<SimWorld>(2, cfg);
   world_->connect(0, 1, drv::test_profile());
   world_->connect(0, 1, drv::test_profile());
@@ -209,8 +242,7 @@ TEST_F(MultirailTest, LeastLoadedEagerPolicySpreadsAcrossRails) {
 
 TEST_F(MultirailTest, LeastLoadedAvoidsBulkLoadedRail) {
   EngineConfig cfg;
-  cfg.eager_rail = EagerRailPolicy::LeastLoaded;
-  cfg.multirail = MultirailPolicy::SingleRail;
+  cfg.class_rail = {0, kAllRails, 0, 0};  // SmallEager spreads, Bulk pinned
   world_ = std::make_unique<SimWorld>(2, cfg);
   world_->connect(0, 1, drv::mx_myrinet_profile());
   world_->connect(0, 1, drv::mx_myrinet_profile());
@@ -220,9 +252,14 @@ TEST_F(MultirailTest, LeastLoadedAvoidsBulkLoadedRail) {
   Channel small_rx = world_->node(1).open_channel(0, 2);
   // Load rail 0 with large eager fragments (below rdv threshold).
   for (int i = 0; i < 3; ++i) send_bytes(bulk, pattern(16 * 1024));
+  auto rail1_busy = [&] {
+    const auto& r = world_->node(0).snapshot().peers[0].rails[1];
+    return r.backlog_frags + r.outstanding_packets;
+  };
+  ASSERT_EQ(rail1_busy(), 0u);
   // A small message submitted now must take rail 1.
   send_bytes(small_tx, pattern(64, 7));
-  EXPECT_GT(world_->node(0).backlog_frags(1, 1), 0u);
+  EXPECT_GT(rail1_busy(), 0u);
   EXPECT_EQ(recv_bytes(small_rx, 64), pattern(64, 7));
 }
 

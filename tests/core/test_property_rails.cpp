@@ -1,5 +1,5 @@
-// Rail-selection properties (dynamic traffic-class re-assignment + eager
-// rail policies + failure handling):
+// Rail-selection properties (dynamic traffic-class re-assignment + pinned
+// or least-loaded class→rail map entries + failure handling):
 //   * no selection path — class pinning, least-loaded balancing or
 //     rebalance_classes() — may ever route new traffic onto a Down rail;
 //   * the class→rail map follows load shifts and is restored once the load
@@ -28,15 +28,20 @@ using testing::send_bytes;
 // Randomized: four rails, two of which die at random points in a message
 // stream. Every message still arrives (reliability replays), and the trace
 // proves no packet was ever launched on a rail after its failover.
+//
+// The SmallEager map entry under test: pinned to rail 0, or kAllRails.
+enum class EagerEntry : std::uint8_t { Pinned, LeastLoaded };
+
 class RailSelectionProperty
-    : public ::testing::TestWithParam<std::tuple<EagerRailPolicy,
-                                                 std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<EagerEntry, std::uint64_t>> {
+};
 
 TEST_P(RailSelectionProperty, NewTrafficNeverLaunchesOnADownRail) {
-  const auto& [policy, seed] = GetParam();
+  const auto& [entry, seed] = GetParam();
   EngineConfig cfg;
   cfg.reliability = true;
-  cfg.eager_rail = policy;
+  cfg.class_rail[static_cast<std::size_t>(TrafficClass::SmallEager)] =
+      entry == EagerEntry::Pinned ? RailId{0} : kAllRails;
   SimWorld world(2, cfg);
   constexpr std::size_t kRails = 4;
   for (std::size_t r = 0; r < kRails; ++r)
@@ -98,14 +103,14 @@ TEST_P(RailSelectionProperty, NewTrafficNeverLaunchesOnADownRail) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, RailSelectionProperty,
-    ::testing::Combine(::testing::Values(EagerRailPolicy::ClassPinned,
-                                         EagerRailPolicy::LeastLoaded),
+    ::testing::Combine(::testing::Values(EagerEntry::Pinned,
+                                         EagerEntry::LeastLoaded),
                        ::testing::Values(std::uint64_t{3}, std::uint64_t{17},
                                          std::uint64_t{51},
                                          std::uint64_t{204})),
-    [](const ::testing::TestParamInfo<
-        std::tuple<EagerRailPolicy, std::uint64_t>>& pi) {
-      return std::string(std::get<0>(pi.param) == EagerRailPolicy::ClassPinned
+    [](const ::testing::TestParamInfo<std::tuple<EagerEntry, std::uint64_t>>&
+           pi) {
+      return std::string(std::get<0>(pi.param) == EagerEntry::Pinned
                              ? "pinned"
                              : "leastloaded") +
              "_s" + std::to_string(std::get<1>(pi.param));
@@ -169,7 +174,7 @@ TEST(RebalanceProperty, NeverAssignsClassesToDownRails) {
 // latency-sensitive classes off a loaded rail) and is restored once the
 // load drains and a later rebalance runs.
 TEST(RebalanceProperty, ClassMapFollowsLoadAndIsRestored) {
-  EngineConfig cfg;  // ClassPinned, classes all on rail 0 by default
+  EngineConfig cfg;  // Control and SmallEager pinned to rail 0 by default
   SimWorld world(2, cfg);
   world.connect(0, 1, drv::mx_myrinet_profile());
   world.connect(0, 1, drv::mx_myrinet_profile());

@@ -1,4 +1,4 @@
-// Heterogeneous multi-rail bulk striping (MultirailPolicy::Stripe).
+// Heterogeneous multi-rail bulk striping (Bulk class entry kAllRails).
 //
 // Two layers of coverage:
 //   * Model tests drive strategy_detail::stripe_shares / stripe_rail_rate
@@ -39,8 +39,7 @@ using testing::recv_bytes;
 using testing::send_bytes;
 
 EngineConfig stripe_cfg() {
-  EngineConfig cfg;
-  cfg.multirail = MultirailPolicy::Stripe;
+  EngineConfig cfg;  // Bulk = kAllRails: stripe over every Up rail
   cfg.rdv_chunk = 16 * 1024;
   return cfg;
 }

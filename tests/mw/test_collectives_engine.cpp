@@ -326,8 +326,7 @@ TEST(CollectivesFailover, MidAllreduceRailDeathSoak) {
   // genuine failover (failure landing before completion).
   std::uint64_t failovers = 0;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    core::EngineConfig cfg;
-    cfg.multirail = core::MultirailPolicy::Stripe;
+    core::EngineConfig cfg;  // Bulk = kAllRails: stripe over both rails
     cfg.reliability = true;
     cfg.payload_crc = true;
     cfg.rdv_chunk = 16 * 1024;
