@@ -87,10 +87,11 @@ class NullEndpoint final : public drv::DriverEndpoint {
   }
   const drv::Capabilities& caps() const override { return caps_; }
   void set_handler(drv::EndpointHandler* h) override { handler_ = h; }
-  void send(drv::TrackId track, const GatherList& gl,
+  bool send(drv::TrackId track, const GatherList& gl,
             std::uint64_t token) override {
     (void)gl;
     pending_.emplace_back(track, token);
+    return false;
   }
   void progress() override {
     if (pending_.empty()) return;

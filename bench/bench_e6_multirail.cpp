@@ -146,7 +146,10 @@ void BM_E6_HeteroStripe(benchmark::State& state) {
   state.counters["speedup_vs_pinned"] = speedup;
   state.SetLabel(rp.name);
 
-  std::printf(
+  // One JSON row per point, on stderr: stdout belongs to the benchmark
+  // reporter, and --benchmark_format=json must stay one parseable document.
+  std::fprintf(
+      stderr,
       "{\"bench\":\"e6_hetero\",\"ratio\":\"%s\",\"bytes\":%zu,"
       "\"stripe_MBps\":%.1f,\"pinned_MBps\":%.1f,\"solo_slow_MBps\":%.1f,"
       "\"solo_fast_MBps\":%.1f,\"ideal_MBps\":%.1f,\"efficiency\":%.3f,"

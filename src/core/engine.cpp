@@ -258,10 +258,9 @@ SendHandle Engine::submit(NodeId peer, ChannelId ch, TrafficClass cls,
       ps.lock_acqs->fetch_add(1, std::memory_order_relaxed);
       drain_submit_ring_locked(ps);
       submit_locked(ps, ch, std::move(msg), state, state->submit_time);
+      const bool owner_work = owner_work_locked(ps);
       ps.mu.unlock();
-      // Even an inline submit leaves driver completions to poll (e.g. the
-      // shm driver queues them locally): wake the shard's owner if parked.
-      note_activity(ps);
+      after_submit(ps, owner_work);
       return SendHandle(state);
     }
     // Shard busy: park the message in the submit ring and return without
@@ -284,6 +283,7 @@ SendHandle Engine::submit(NodeId peer, ChannelId ch, TrafficClass cls,
         ps.lock_acqs->fetch_add(1, std::memory_order_relaxed);
         drain_submit_ring_locked(ps);
         ps.mu.unlock();
+        wake_peer(ps);  // the drain's pump may have completed sends inline
       }
       return SendHandle(state);
     }
@@ -294,13 +294,33 @@ SendHandle Engine::submit(NodeId peer, ChannelId ch, TrafficClass cls,
     msg = std::move(op.msg);
   }
 
+  bool owner_work;
   {
     PeerLock lk(ps);
     drain_submit_ring_locked(ps);
     submit_locked(ps, ch, std::move(msg), state, state->submit_time);
+    owner_work = owner_work_locked(ps);
   }
-  note_activity(ps);
+  after_submit(ps, owner_work);
   return SendHandle(state);
+}
+
+bool Engine::owner_work_locked(const PeerState& ps) const {
+  if (!ps.inflight.empty()) return true;
+  for (const auto& rail : ps.rails)
+    if (!rail->backlog.empty() || !rail->bulk_q.empty()) return true;
+  return false;
+}
+
+void Engine::after_submit(PeerState& ps, bool owner_work) {
+  // Ring the owner's doorbell only for work its lap must finish: a driver
+  // completion to poll (the shm driver queues them locally), a fragment
+  // held back or a chunk queued. A send that left inline on an idle wire
+  // is finished, and waking a parked owner for it costs a context switch
+  // and a lock hand-off per message.
+  if (owner_work) note_activity(ps);
+  // The pump may have completed sends inline: wake their waiters.
+  wake_peer(ps);
 }
 
 std::size_t Engine::drain_submit_ring_locked(PeerState& ps) {
@@ -627,7 +647,7 @@ void Engine::send_packet_locked(PeerState& ps, Rail& rail, FragList&& frags) {
                      << rec.frags.size() << " bytes=" << rec.wire_bytes);
   trace_locked(TraceEvent::PacketTx, ps.id, rail.port.rail, token,
                rec.wire_bytes, rec.frags.size(), ph.pkt_seq);
-  rail.ep->send(drv::kTrackEager, gl, token);
+  driver_send_locked(ps, rail, drv::kTrackEager, gl, token);
   if (cfg_.reliability) arm_rto_locked(ps, rail, 0);
 }
 
@@ -689,8 +709,17 @@ void Engine::send_bulk_chunk_locked(PeerState& ps, Rail& rail,
   ps.stats.inc("tx.bytes", rec.wire_bytes);
   trace_locked(TraceEvent::BulkTx, ps.id, rail.port.rail, chunk.token,
                chunk.offset, chunk.len, chunk.stripe);
-  rail.ep->send(rec.track, gl, token);
+  driver_send_locked(ps, rail, rec.track, gl, token);
   if (cfg_.reliability) arm_rto_locked(ps, rail, 1);
+}
+
+void Engine::driver_send_locked(PeerState& ps, Rail& rail,
+                                drv::TrackId track, const GatherList& gl,
+                                std::uint64_t token) {
+  // True: the packet already left (an idle socket wire). No callback will
+  // follow, so complete it here, under the lock the caller already holds.
+  if (rail.ep->send(track, gl, token))
+    complete_send_locked(ps, rail, track, token);
 }
 
 void Engine::schedule_nagle_timer_locked(PeerState& ps, Rail& rail,
@@ -1024,7 +1053,7 @@ void Engine::retransmit_locked(PeerState& ps, Rail& rail, std::uint64_t token,
                rec.rel_stream, rail.rel[rec.rel_stream].retries);
   MADO_TRACE("node " << self_ << " retransmit token=" << token << " stream="
                      << int(rec.rel_stream) << " seq=" << rec.rel_seq);
-  rail.ep->send(rec.track, gl, token);
+  driver_send_locked(ps, rail, rec.track, gl, token);
 }
 
 void Engine::maybe_send_ack_locked(PeerState& ps, Rail& rail) {
@@ -1061,7 +1090,7 @@ void Engine::maybe_send_ack_locked(PeerState& ps, Rail& rail) {
   rail.inflight_bytes += rec.wire_bytes;
   ps.stats.inc("rel.acks_tx");
   ps.stats.inc("tx.bytes", rec.wire_bytes);
-  rail.ep->send(drv::kTrackEager, gl, token);
+  driver_send_locked(ps, rail, drv::kTrackEager, gl, token);
 }
 
 bool Engine::rel_rx_accept_locked(PeerState& ps, Rail& rail, int stream,
@@ -1793,64 +1822,67 @@ SendHandle Engine::rma_put(NodeId peer, WindowId window, std::uint64_t offset,
   state->cls = cls;
   state->peer = peer;
 
-  PeerLock lk(ps);
-  drain_submit_ring_locked(ps);
-  MADO_CHECK_MSG(!ps.rails.empty(), "no rails toward peer " << peer);
-  const RailId rail_id = rail_for_class_locked(ps, cls);
-  Rail& rail = *ps.rails[rail_id];
-  if (rail.state == RailState::Down) {
-    state->failed.store(true, std::memory_order_release);
-    ps.stats.inc("rel.failed_sends");  // every rail toward the peer is dead
-    return SendHandle(state);
+  {
+    PeerLock lk(ps);
+    drain_submit_ring_locked(ps);
+    MADO_CHECK_MSG(!ps.rails.empty(), "no rails toward peer " << peer);
+    const RailId rail_id = rail_for_class_locked(ps, cls);
+    Rail& rail = *ps.rails[rail_id];
+    if (rail.state == RailState::Down) {
+      state->failed.store(true, std::memory_order_release);
+      ps.stats.inc("rel.failed_sends");  // every rail toward the peer is dead
+      return SendHandle(state);
+    }
+    const std::size_t rdv_thr = cfg_.rdv_threshold_override != 0
+                                    ? cfg_.rdv_threshold_override
+                                    : rail.ep->caps().rdv_threshold;
+
+    const std::uint64_t ack_token =
+        next_rdv_token_.fetch_add(1, std::memory_order_relaxed);
+    ps.rma_acks.emplace(ack_token, state);
+
+    if (len >= rdv_thr) {
+      RdvTx rdv;
+      rdv.peer = peer;
+      rdv.channel = kRmaChannel;
+      rdv.data = static_cast<const Byte*>(data);
+      rdv.total = len;
+      rdv.state = nullptr;  // handle completes on the ack, not on chunks
+      rdv.rts_time = timers_.now();
+      rdv.rts_timed = true;
+      rdv.cls = cls;
+      ps.rdv_tx.emplace(ack_token, std::move(rdv));
+      trace_locked(TraceEvent::RdvRts, peer, rail_id, ack_token, len);
+
+      TxFrag tf = make_rma_frag_locked(ps, FragKind::RdvRts);
+      RtsBody body;
+      body.token = ack_token;
+      body.total_len = len;
+      body.target = RdvTarget::Window;
+      body.window = window;
+      body.offset = offset;
+      body.aux = ack_token;
+      tf.owned = ps.slab.take(RtsBody::kWireSize);
+      encode_rts(tf.owned, body);
+      tf.len = tf.owned.size();
+      rail.backlog.push(std::move(tf));
+    } else {
+      TxFrag tf = make_rma_frag_locked(ps, FragKind::RmaPut);
+      tf.owned = ps.slab.take(RmaPutBody::kWireSize + len);
+      encode_rma_put(tf.owned, RmaPutBody{window, offset, ack_token});
+      const auto* p = static_cast<const Byte*>(data);
+      tf.owned.insert(tf.owned.end(), p, p + len);
+      tf.len = tf.owned.size();
+      rail.backlog.push(std::move(tf));
+    }
+    ps.stats.inc("rma.puts");
+    trace_locked(TraceEvent::RmaOp, peer, rail_id, 0, window, len);
+    pump_rail_locked(ps, rail);
   }
-  const std::size_t rdv_thr = cfg_.rdv_threshold_override != 0
-                                  ? cfg_.rdv_threshold_override
-                                  : rail.ep->caps().rdv_threshold;
-
-  const std::uint64_t ack_token =
-      next_rdv_token_.fetch_add(1, std::memory_order_relaxed);
-  ps.rma_acks.emplace(ack_token, state);
-
-  if (len >= rdv_thr) {
-    RdvTx rdv;
-    rdv.peer = peer;
-    rdv.channel = kRmaChannel;
-    rdv.data = static_cast<const Byte*>(data);
-    rdv.total = len;
-    rdv.state = nullptr;  // handle completes on the ack, not on chunks
-    rdv.rts_time = timers_.now();
-    rdv.rts_timed = true;
-    rdv.cls = cls;
-    ps.rdv_tx.emplace(ack_token, std::move(rdv));
-    trace_locked(TraceEvent::RdvRts, peer, rail_id, ack_token, len);
-
-    TxFrag tf = make_rma_frag_locked(ps, FragKind::RdvRts);
-    RtsBody body;
-    body.token = ack_token;
-    body.total_len = len;
-    body.target = RdvTarget::Window;
-    body.window = window;
-    body.offset = offset;
-    body.aux = ack_token;
-    tf.owned = ps.slab.take(RtsBody::kWireSize);
-    encode_rts(tf.owned, body);
-    tf.len = tf.owned.size();
-    rail.backlog.push(std::move(tf));
-  } else {
-    TxFrag tf = make_rma_frag_locked(ps, FragKind::RmaPut);
-    tf.owned = ps.slab.take(RmaPutBody::kWireSize + len);
-    encode_rma_put(tf.owned, RmaPutBody{window, offset, ack_token});
-    const auto* p = static_cast<const Byte*>(data);
-    tf.owned.insert(tf.owned.end(), p, p + len);
-    tf.len = tf.owned.size();
-    rail.backlog.push(std::move(tf));
-  }
-  ps.stats.inc("rma.puts");
-  trace_locked(TraceEvent::RmaOp, peer, rail_id, 0, window, len);
-  pump_rail_locked(ps, rail);
-  // Wake the shard's owner for the completion poll (slot mutexes sit below
-  // ps.mu in the lock order, so notifying under the peer lock is fine).
+  // Wake the shard's owner for the completion poll, and the waiters of
+  // any send the pump completed inline.
   note_activity(ps);
+  wake_peer(ps);
   return SendHandle(state);
 }
 
@@ -1864,30 +1896,33 @@ SendHandle Engine::rma_get(NodeId peer, WindowId window, std::uint64_t offset,
   state->cls = cls;
   state->peer = peer;
 
-  PeerLock lk(ps);
-  drain_submit_ring_locked(ps);
-  MADO_CHECK_MSG(!ps.rails.empty(), "no rails toward peer " << peer);
-  const RailId rail_id = rail_for_class_locked(ps, cls);
-  Rail& rail = *ps.rails[rail_id];
-  if (rail.state == RailState::Down) {
-    state->failed.store(true, std::memory_order_release);
-    ps.stats.inc("rel.failed_sends");  // every rail toward the peer is dead
-    return SendHandle(state);
-  }
-  const std::uint64_t get_token =
-      next_rdv_token_.fetch_add(1, std::memory_order_relaxed);
-  ps.pending_gets.emplace(get_token,
-                          PendingGet{static_cast<Byte*>(dest), len, state});
+  {
+    PeerLock lk(ps);
+    drain_submit_ring_locked(ps);
+    MADO_CHECK_MSG(!ps.rails.empty(), "no rails toward peer " << peer);
+    const RailId rail_id = rail_for_class_locked(ps, cls);
+    Rail& rail = *ps.rails[rail_id];
+    if (rail.state == RailState::Down) {
+      state->failed.store(true, std::memory_order_release);
+      ps.stats.inc("rel.failed_sends");  // every rail toward the peer is dead
+      return SendHandle(state);
+    }
+    const std::uint64_t get_token =
+        next_rdv_token_.fetch_add(1, std::memory_order_relaxed);
+    ps.pending_gets.emplace(get_token,
+                            PendingGet{static_cast<Byte*>(dest), len, state});
 
-  TxFrag tf = make_rma_frag_locked(ps, FragKind::RmaGet);
-  tf.owned = ps.slab.take(RmaGetBody::kWireSize);
-  encode_rma_get(tf.owned, RmaGetBody{window, offset, len, get_token});
-  tf.len = tf.owned.size();
-  rail.backlog.push(std::move(tf));
-  ps.stats.inc("rma.gets");
-  trace_locked(TraceEvent::RmaOp, peer, rail_id, 1, window, len);
-  pump_rail_locked(ps, rail);
+    TxFrag tf = make_rma_frag_locked(ps, FragKind::RmaGet);
+    tf.owned = ps.slab.take(RmaGetBody::kWireSize);
+    encode_rma_get(tf.owned, RmaGetBody{window, offset, len, get_token});
+    tf.len = tf.owned.size();
+    rail.backlog.push(std::move(tf));
+    ps.stats.inc("rma.gets");
+    trace_locked(TraceEvent::RmaOp, peer, rail_id, 1, window, len);
+    pump_rail_locked(ps, rail);
+  }
   note_activity(ps);  // wake the shard's owner for the completion poll
+  wake_peer(ps);      // and the waiters of sends completed inline
   return SendHandle(state);
 }
 

@@ -655,6 +655,12 @@ class Engine final {
   /// queue rendezvous, push to the chosen rail's backlog.
   void submit_locked(PeerState& ps, ChannelId ch, Message&& msg,
                      const SendStateRef& state, Nanos enq_time);
+  /// True when the shard holds work only a progress lap finishes: an
+  /// in-flight record, a queued fragment or a queued bulk chunk.
+  bool owner_work_locked(const PeerState& ps) const;
+  /// After a submit released the peer lock: ring the owner's doorbell if
+  /// `owner_work`, and wake the peer's waiters.
+  void after_submit(PeerState& ps, bool owner_work);
 
   void pump_peer_locked(PeerState& ps);
   void pump_rail_locked(PeerState& ps, Rail& rail);
@@ -663,6 +669,12 @@ class Engine final {
   void send_packet_locked(PeerState& ps, Rail& rail, FragList&& frags);
   void send_bulk_chunk_locked(PeerState& ps, Rail& rail, BulkChunk chunk);
   bool pop_bulk_chunk_locked(PeerState& ps, Rail& rail, BulkChunk& out);
+  /// The one call into DriverEndpoint::send. A send the driver reports as
+  /// already gone completes here, inline; the caller must not touch the
+  /// in-flight record of `token` afterwards (it may be erased). Every path
+  /// whose pump reaches this wakes the peer's waiters after it unlocks.
+  void driver_send_locked(PeerState& ps, Rail& rail, drv::TrackId track,
+                          const GatherList& gl, std::uint64_t token);
   void schedule_nagle_timer_locked(PeerState& ps, Rail& rail, Nanos when);
 
   void complete_send_locked(PeerState& ps, Rail& rail, drv::TrackId track,

@@ -6,8 +6,8 @@
 // whichever progress thread owns or stole the shard) it stages the packet
 // into the lap's event batch instead of locking (see progress_lap.hpp), so
 // a pump of N endpoints costs one lock acquisition, not N. Out-of-lap
-// deliveries (a driver IO thread) additionally wake the shard's owning
-// progress thread, never the others (per-shard wakeup routing).
+// deliveries (a driver IO thread) do the whole job under the peer lock and
+// wake only the peer's waiters, never a progress thread.
 #include <algorithm>
 #include <cstring>
 #include <mutex>

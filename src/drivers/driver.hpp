@@ -13,9 +13,20 @@
 //     lock inside the callback and may call send() from there.
 //  3. Per track, completions are reported in send order, and packets are
 //     delivered to the peer in send order (tracks are FIFO channels).
-//     No ordering holds ACROSS tracks.
+//     No ordering holds ACROSS tracks. A send completed inline (clause 5)
+//     counts as completed at the moment send() returns.
 //  4. The GatherList segments passed to send() remain valid until the
-//     matching on_send_complete fires.
+//     matching on_send_complete fires, or until send() returns true.
+//  5. send() returns true when the packet has already left: no callback
+//     will ever follow for that token, and the caller completes it on the
+//     spot. It returns false when the packet was queued; exactly one
+//     on_send_complete or on_send_failed then follows. A driver may always
+//     return false.
+//  6. send() is never called from two threads at once on one endpoint: the
+//     engine calls it only under the lock of the peer that owns the rail
+//     (loop callbacks that send take that lock first). That is what lets a
+//     driver write to its wire from the calling thread without a lock of
+//     its own.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +81,9 @@ class DriverEndpoint {
   /// Register the engine-side handler. Must be called before first send.
   virtual void set_handler(EndpointHandler* handler) = 0;
 
-  /// Enqueue one packet on `track`. See the contract above.
-  virtual void send(TrackId track, const GatherList& gl,
+  /// Send or enqueue one packet on `track`. True: it already left, and no
+  /// callback follows for `token`. See the contract above.
+  virtual bool send(TrackId track, const GatherList& gl,
                     std::uint64_t token) = 0;
 
   /// Drain pending completions/arrivals (no-op for the simulated driver,

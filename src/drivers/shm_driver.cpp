@@ -38,7 +38,7 @@ ShmEndpoint::ShmEndpoint(Capabilities caps, std::shared_ptr<Shared> shared,
 
 ShmEndpoint::~ShmEndpoint() = default;
 
-void ShmEndpoint::send(TrackId track, const GatherList& gl,
+bool ShmEndpoint::send(TrackId track, const GatherList& gl,
                        std::uint64_t token) {
   MADO_CHECK(track < caps_.track_count);
   Frame f;
@@ -47,7 +47,10 @@ void ShmEndpoint::send(TrackId track, const GatherList& gl,
   ++packets_sent_;
   bytes_sent_ += f.payload.size();
   shared_->inbox[1 - side_].push(std::move(f));
+  // Deferred to progress(): a burst posted before the next lap piles up
+  // behind the busy track, which is the backlog the optimizer aggregates.
   completions_.push(Completion{track, token});
+  return false;
 }
 
 void ShmEndpoint::progress() {

@@ -37,7 +37,7 @@ class ShmEndpoint final : public DriverEndpoint {
 
   const Capabilities& caps() const override { return caps_; }
   void set_handler(EndpointHandler* handler) override { handler_ = handler; }
-  void send(TrackId track, const GatherList& gl, std::uint64_t token) override;
+  bool send(TrackId track, const GatherList& gl, std::uint64_t token) override;
   void progress() override;
   /// Detaches the handler: progress() delivers nothing from now on.
   void close() override { handler_ = nullptr; }

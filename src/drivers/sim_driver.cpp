@@ -90,7 +90,7 @@ void SimEndpoint::fail_link() {
   fabric_.post_at(fabric_.now(), [link] { LinkState::fail_now(link); });
 }
 
-void SimEndpoint::send(TrackId track, const GatherList& gl,
+bool SimEndpoint::send(TrackId track, const GatherList& gl,
                        std::uint64_t token) {
   MADO_CHECK_MSG(track < caps_.track_count,
                  "track " << int(track) << " out of range for " << caps_.name);
@@ -148,7 +148,7 @@ void SimEndpoint::send(TrackId track, const GatherList& gl,
     if (plan.drop > 0 && rng.chance(plan.drop)) {
       ++fs.dropped;
       MADO_TRACE("sim[" << caps_.name << "/" << d << "] DROP token=" << token);
-      return;  // vanished in transit; completion above still fires
+      return false;  // vanished in transit; completion above still fires
     }
     if (plan.corrupt > 0 && rng.chance(plan.corrupt) && bytes > 0) {
       const std::size_t at = rng.below(bytes);
@@ -187,6 +187,8 @@ void SimEndpoint::send(TrackId track, const GatherList& gl,
                         link->handler[peer])
                       link->handler[peer]->on_packet(track, std::move(p));
                   });
+  // Virtual time is the contract: the completion fires at `accept`.
+  return false;
 }
 
 std::string SimEndpoint::describe() const {

@@ -70,7 +70,7 @@ class SimEndpoint final : public DriverEndpoint {
 
   const Capabilities& caps() const override { return caps_; }
   void set_handler(EndpointHandler* handler) override;
-  void send(TrackId track, const GatherList& gl, std::uint64_t token) override;
+  bool send(TrackId track, const GatherList& gl, std::uint64_t token) override;
   void progress() override {}  // events run from the shared Fabric loop
   /// Detaches the handler: fabric events for this side are dropped.
   void close() override;

@@ -1,6 +1,8 @@
 #include "drivers/socket_driver.hpp"
 
+#include <linux/sockios.h>
 #include <sys/epoll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/uio.h>
@@ -12,6 +14,7 @@
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
+#include "util/small_vector.hpp"
 
 namespace mado::drv {
 
@@ -67,23 +70,60 @@ void SocketEndpoint::close() {
   fd_ = -1;
 }
 
-void SocketEndpoint::send(TrackId track, const GatherList& gl,
+bool SocketEndpoint::send(TrackId track, const GatherList& gl,
                           std::uint64_t token) {
   MADO_CHECK(track < caps_.track_count);
   MADO_CHECK_MSG(!gate_.closed(), "send on closed endpoint");
+  MADO_CHECK_MSG(gl.total_bytes() <= kMaxFrame, "oversized frame");
   TxItem item;
-  item.token = token;
-  item.payload = gl.flatten();  // segments only live until completion
-  MADO_CHECK_MSG(item.payload.size() <= kMaxFrame, "oversized frame");
-  const auto len = static_cast<std::uint32_t>(item.payload.size());
+  const auto len = static_cast<std::uint32_t>(gl.total_bytes());
   item.hdr[0] = track;
   item.hdr[1] = static_cast<std::uint8_t>(len & 0xff);
   item.hdr[2] = static_cast<std::uint8_t>((len >> 8) & 0xff);
   item.hdr[3] = static_cast<std::uint8_t>((len >> 16) & 0xff);
   item.hdr[4] = static_cast<std::uint8_t>((len >> 24) & 0xff);
+  // The wire is idle: the loop holds no frame of ours (so nothing written
+  // later can overtake one) and the peer has read every byte. Write from
+  // this thread; the packet has left when the whole frame went out.
+  if (loop_frames_.load(std::memory_order_acquire) == 0 && !broken() &&
+      wire_drained()) {
+    item.sent = write_inline(item.hdr, gl);
+    if (item.sent == kHeaderLen + gl.total_bytes()) {
+      packets_sent_.fetch_add(1, std::memory_order_relaxed);
+      bytes_sent_.fetch_add(gl.total_bytes(), std::memory_order_relaxed);
+      return true;
+    }
+  }
+  // Busy wire, short write or error: the loop sends the rest (or fails
+  // it). Segments only live until send() returns or the completion fires.
+  item.token = token;
+  item.payload = gl.flatten();
   gate_.accept();
+  loop_frames_.fetch_add(1, std::memory_order_acq_rel);
   submit_.push(std::move(item));
   loop_->notify(this);
+  return false;
+}
+
+bool SocketEndpoint::wire_drained() const {
+  int unread = 0;
+  return ::ioctl(fd_, SIOCOUTQ, &unread) == 0 && unread == 0;
+}
+
+std::size_t SocketEndpoint::write_inline(const std::uint8_t* hdr,
+                                         const GatherList& gl) {
+  SmallVector<iovec, 16> iov;
+  iov.push_back({const_cast<std::uint8_t*>(hdr), kHeaderLen});
+  for (const Segment& seg : gl)
+    iov.push_back({const_cast<Byte*>(seg.data), seg.len});
+  msghdr msg{};
+  msg.msg_iov = iov.data();
+  msg.msg_iovlen = iov.size();
+  ssize_t n = 0;
+  do {
+    n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+  } while (n < 0 && errno == EINTR);
+  return n > 0 ? static_cast<std::size_t>(n) : 0;
 }
 
 void SocketEndpoint::on_notify() {
@@ -119,9 +159,9 @@ void SocketEndpoint::flush_tx() {
     iovec iov[2 * kMaxFramesPerWrite];
     std::size_t cnt = 0;
     std::size_t offered = 0;
-    std::size_t skip = tx_off_;  // only the front frame is partly sent
     for (std::size_t i = 0; i < txq_.size() && i < kMaxFramesPerWrite; ++i) {
       TxItem& item = txq_[i];
+      const std::size_t skip = item.sent;  // only the front is partly sent
       if (skip < kHeaderLen) {
         iov[cnt++] = {item.hdr + skip, kHeaderLen - skip};
         offered += kHeaderLen - skip;
@@ -131,7 +171,6 @@ void SocketEndpoint::flush_tx() {
         iov[cnt++] = {item.payload.data() + poff, item.payload.size() - poff};
         offered += item.payload.size() - poff;
       }
-      skip = 0;
     }
     msghdr msg{};
     msg.msg_iov = iov;
@@ -155,12 +194,11 @@ void SocketEndpoint::flush_tx() {
     while (!txq_.empty()) {
       TxItem& item = txq_.front();
       const std::size_t frame = kHeaderLen + item.payload.size();
-      if (tx_off_ + left < frame) {
-        tx_off_ += left;
+      if (item.sent + left < frame) {
+        item.sent += left;
         break;
       }
-      left -= frame - tx_off_;
-      tx_off_ = 0;
+      left -= frame - item.sent;
       const TrackId track = item.hdr[0];
       const std::uint64_t token = item.token;
       packets_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -168,6 +206,7 @@ void SocketEndpoint::flush_tx() {
       txq_.pop_front();
       gate_.resolve();
       if (h) h->on_send_complete(track, token);
+      release_frame();
     }
     if (static_cast<std::size_t>(n) < offered) {
       // The socket buffer filled mid-write: resume on EPOLLOUT.
@@ -275,8 +314,8 @@ void SocketEndpoint::fail_queued() {
     txq_.pop_front();
     gate_.resolve();
     if (h) h->on_send_failed(track, token);
+    release_frame();
   }
-  tx_off_ = 0;
   // A send accepted but not yet queued keeps the report back until its
   // own failure has been delivered (the next on_notify).
   if (gate_.should_report_link_down() && h) h->on_link_down();

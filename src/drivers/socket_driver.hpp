@@ -8,12 +8,21 @@
 // All tracks multiplex over the single stream, which preserves the per-track
 // FIFO guarantee of the driver contract (a stream is FIFO for everything).
 //
-// The fd is non-blocking and served by the loop. send() queues the frame and
-// nudges the loop (once per burst); the loop writes header and payload in
-// one sendmsg, resumes partial writes on EPOLLOUT, and calls
-// on_send_complete once a frame has fully left. It reads with one recv per
-// readiness and calls on_packet for every complete frame. Callbacks come
-// straight from the loop thread, so progress() has nothing to do.
+// The fd is non-blocking. While the wire is idle, send() writes header and
+// gather segments itself in one sendmsg from the calling thread and returns
+// true: the packet has left and no callback follows. The wire is idle when
+// the loop holds no frame of this endpoint and the peer has read every byte
+// written so far (SIOCOUTQ reads 0). A wire that still holds unread bytes
+// is busy: send() then flattens the frame, queues it and nudges the loop
+// (once per burst), so a backlog builds behind it as on a busy NIC. A short
+// write or EAGAIN hands the rest of the frame to the loop the same way. The
+// loop writes queued frames in one sendmsg, resumes partial writes on
+// EPOLLOUT, and calls on_send_complete once a frame has fully left. It
+// reads with one recv per readiness and calls on_packet for every complete
+// frame. Callbacks come straight from the loop thread, so progress() has
+// nothing to do. The inline write needs no lock of its own: the engine
+// never calls send() on one endpoint from two threads at once (driver.hpp,
+// clause 6).
 #pragma once
 
 #include <atomic>
@@ -55,7 +64,7 @@ class SocketEndpoint final : public DriverEndpoint, private IoLoop::Source {
   void set_handler(EndpointHandler* handler) override {
     handler_.store(handler, std::memory_order_release);
   }
-  void send(TrackId track, const GatherList& gl, std::uint64_t token) override;
+  bool send(TrackId track, const GatherList& gl, std::uint64_t token) override;
   /// No-op: the loop thread delivers every callback.
   void progress() override {}
   /// After close() returns no callback runs and none will.
@@ -73,6 +82,10 @@ class SocketEndpoint final : public DriverEndpoint, private IoLoop::Source {
   std::uint64_t bytes_sent() const {
     return bytes_sent_.load(std::memory_order_relaxed);
   }
+  /// `loop_frames_` (for tests).
+  std::size_t loop_frames() const {
+    return loop_frames_.load(std::memory_order_acquire);
+  }
   /// The loop serving this endpoint (wakeup counters for tests).
   const IoLoop& loop() const { return *loop_; }
 
@@ -85,6 +98,7 @@ class SocketEndpoint final : public DriverEndpoint, private IoLoop::Source {
     std::uint8_t hdr[kHeaderLen] = {};
     std::uint64_t token = 0;
     Bytes payload;
+    std::size_t sent = 0;  ///< bytes of the frame (header included) written
   };
 
   // IoLoop::Source (loop thread only).
@@ -93,6 +107,12 @@ class SocketEndpoint final : public DriverEndpoint, private IoLoop::Source {
 
   enum class RxResult { kData, kEmpty, kClosed };
 
+  /// send()'s fast path: true when the peer has read every byte written
+  /// so far.
+  bool wire_drained() const;
+  /// One sendmsg of the whole frame from the calling thread; returns the
+  /// bytes written (0 on EAGAIN or an error: the loop then takes the frame).
+  std::size_t write_inline(const std::uint8_t* hdr, const GatherList& gl);
   void flush_tx();
   /// One recv into the receive buffer (or the oversized frame in
   /// progress), then every complete frame goes to on_packet.
@@ -103,6 +123,11 @@ class SocketEndpoint final : public DriverEndpoint, private IoLoop::Source {
   /// The wire died: fail every queued send, then report the link down.
   void break_link();
   void fail_queued();
+  /// A queued frame's callback returned: send() may write inline again
+  /// once none is left.
+  void release_frame() {
+    loop_frames_.fetch_sub(1, std::memory_order_release);
+  }
   EndpointHandler* handler() const {
     return handler_.load(std::memory_order_acquire);
   }
@@ -113,6 +138,10 @@ class SocketEndpoint final : public DriverEndpoint, private IoLoop::Source {
   std::atomic<EndpointHandler*> handler_{nullptr};
   /// send() → loop hand-off.
   MpscQueue<TxItem> submit_;
+  /// Frames handed to the loop whose completion or failure callback has
+  /// not returned yet. send() writes inline only at 0, so bytes leave in
+  /// send order and an inline completion never overtakes a queued one.
+  std::atomic<std::size_t> loop_frames_{0};
   /// broken/outstanding/closed/reported protocol shared with the UDP
   /// driver; see link_gate.hpp for the exactly-once argument.
   LinkDownGate gate_;
@@ -123,7 +152,6 @@ class SocketEndpoint final : public DriverEndpoint, private IoLoop::Source {
   // against construction and close().
   std::vector<TxItem> fresh_;
   std::deque<TxItem> txq_;
-  std::size_t tx_off_ = 0;  ///< bytes of txq_.front() (header included) sent
   bool tx_blocked_ = false;  ///< socket buffer full, EPOLLOUT armed
   Bytes rx_buf_;            ///< receive buffer, holds whole small frames
   std::size_t rx_len_ = 0;  ///< bytes buffered in rx_buf_

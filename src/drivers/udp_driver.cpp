@@ -727,7 +727,7 @@ UdpEndpoint::PairResult UdpEndpoint::make_pair(std::shared_ptr<IoLoop> loop,
   return r;
 }
 
-void UdpEndpoint::send(TrackId track, const GatherList& gl,
+bool UdpEndpoint::send(TrackId track, const GatherList& gl,
                        std::uint64_t token) {
   MADO_CHECK(track < caps_.track_count);
   MADO_CHECK_MSG(!gate_.closed(), "send on closed endpoint");
@@ -743,6 +743,7 @@ void UdpEndpoint::send(TrackId track, const GatherList& gl,
   gate_.accept();
   tx_.push(std::move(item));
   loop_->notify(this);
+  return false;
 }
 
 void UdpEndpoint::progress() {

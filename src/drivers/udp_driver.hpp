@@ -105,7 +105,7 @@ class UdpEndpoint final : public DriverEndpoint, private IoLoop::Source {
 
   const Capabilities& caps() const override { return caps_; }
   void set_handler(EndpointHandler* handler) override { handler_ = handler; }
-  void send(TrackId track, const GatherList& gl, std::uint64_t token) override;
+  bool send(TrackId track, const GatherList& gl, std::uint64_t token) override;
   void progress() override;
   void close() override;
   bool link_up() const override { return !gate_.broken(); }

@@ -131,7 +131,7 @@ class BlockingEndpoint final : public drv::DriverEndpoint {
  public:
   const drv::Capabilities& caps() const override { return caps_; }
   void set_handler(drv::EndpointHandler* h) override { handler_ = h; }
-  void send(drv::TrackId track, const GatherList&,
+  bool send(drv::TrackId track, const GatherList&,
             std::uint64_t token) override {
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -139,6 +139,7 @@ class BlockingEndpoint final : public drv::DriverEndpoint {
     }
     in_send_.store(true, std::memory_order_release);
     while (hold_.load(std::memory_order_acquire)) std::this_thread::yield();
+    return false;
   }
   void progress() override {
     std::vector<std::pair<drv::TrackId, std::uint64_t>> done;
@@ -435,9 +436,9 @@ class ExclusivePumpEndpoint final : public drv::DriverEndpoint {
   void set_handler(drv::EndpointHandler* h) override {
     inner_->set_handler(h);
   }
-  void send(drv::TrackId track, const GatherList& gl,
+  bool send(drv::TrackId track, const GatherList& gl,
             std::uint64_t token) override {
-    inner_->send(track, gl, token);
+    return inner_->send(track, gl, token);
   }
   void progress() override {
     if (entered_.exchange(true, std::memory_order_acq_rel))
@@ -497,7 +498,9 @@ class StallEndpoint final : public drv::DriverEndpoint {
  public:
   const drv::Capabilities& caps() const override { return caps_; }
   void set_handler(drv::EndpointHandler*) override {}
-  void send(drv::TrackId, const GatherList&, std::uint64_t) override {}
+  bool send(drv::TrackId, const GatherList&, std::uint64_t) override {
+    return false;
+  }
   void progress() override {
     if (!stall_.load(std::memory_order_acquire)) return;
     stalled_.store(true, std::memory_order_release);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "core/engine.hpp"
@@ -193,6 +194,61 @@ TEST_F(SocketEngineTest, ArrivalLeavesParkedOwnerAsleep) {
     EXPECT_EQ(counter("prog.t0.wakeups"), before)
         << "arrival " << i << " woke the receiver's parked owner";
   }
+}
+
+// A send that leaves inline on an idle socket wire is finished when post()
+// returns: no completion is left to poll, so the sender's parked owner must
+// stay asleep, and no IO-loop callback waits for the poster's peer lock.
+// Same long park as above: a doorbell rung per message shows at once.
+TEST_F(SocketEngineTest, InlineSendLeavesParkedOwnerAsleep) {
+  EngineConfig cfg;
+  cfg.prog_spin_laps = 4;
+  cfg.prog_yield_laps = 4;
+  cfg.prog_idle_wait = 10 * kNanosPerSec;
+  build(cfg);
+  Engine& tx = world_->node(0);
+  auto counter = [&](const char* name) {
+    return tx.counters_snapshot()[name];
+  };
+  // Every progress thread of the sender has parked (with more than one,
+  // an unparked thread would still steal laps on the shard).
+  auto all_parked = [&] {
+    const std::string suffix = ".idle_sleeps";
+    for (const auto& [name, value] : tx.counters_snapshot()) {
+      const bool sleeps =
+          name.rfind("prog.t", 0) == 0 && name.size() > suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0;
+      if (sleeps && value == 0) return false;
+    }
+    return true;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the sender's progress threads never parked";
+    const std::uint64_t w = counter("prog.wakeups");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (all_parked() && counter("prog.wakeups") == w) break;
+  }
+  const std::uint64_t wakeups = counter("prog.wakeups");
+  const std::uint64_t lock_wait = counter("opt.lock_wait_ns");
+  constexpr std::uint32_t kRounds = 16;
+  for (std::uint32_t i = 0; i < kRounds; ++i) {
+    send_bytes(a_, pattern(64, i));
+    EXPECT_EQ(recv_bytes(b_, 64), pattern(64, i));
+    send_bytes(b_, pattern(64, 100 + i));
+    // Let the loop deliver the reply before this thread's own receive
+    // takes the sender's peer lock: that contention is the test's, not
+    // the engine's.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(recv_bytes(a_, 64), pattern(64, 100 + i));
+  }
+  EXPECT_EQ(counter("prog.wakeups"), wakeups)
+      << "posting on an idle wire woke a parked progress thread";
+  EXPECT_EQ(counter("opt.lock_wait_ns"), lock_wait)
+      << "a loop callback waited for the poster's peer lock";
+  EXPECT_EQ(counter("tx.msgs_completed"), kRounds);
 }
 
 // Teardown while traffic flows both ways: the IO loop is inside engine

@@ -47,12 +47,18 @@ struct Harness {
     return true;
   }
 
+  /// send() through the contract: a send completed inline is recorded on
+  /// the sending side's handler.
   void send(DriverEndpoint& ep, TrackId track, const Bytes& payload,
             std::uint64_t token) {
     GatherList gl;
     gl.add(payload.data(), payload.size());
-    SendScope scope;
-    ep.send(track, gl, token);
+    bool left;
+    {
+      SendScope scope;
+      left = ep.send(track, gl, token);
+    }
+    if (left) (&ep == a.get() ? ha : hb).record_inline_completion(track, token);
   }
 };
 
@@ -173,7 +179,8 @@ TEST_P(DriverConformanceTest, LargePayloadSurvives) {
 
 TEST_P(DriverConformanceTest, ZeroLengthPayload) {
   GatherList gl;
-  h_->a->send(kTrackEager, gl, 5);
+  if (h_->a->send(kTrackEager, gl, 5))
+    h_->ha.record_inline_completion(kTrackEager, 5);
   ASSERT_TRUE(h_->pump_until([&] {
     return h_->hb.packet_count() > 0 && h_->ha.completion_count() > 0;
   }));
@@ -308,6 +315,60 @@ TEST_P(DriverConformanceTest, NoCallbackAfterCloseReturns) {
   while (std::chrono::steady_clock::now() < until) h_->pump_once();
   EXPECT_EQ(h_->ha.total_calls(), calls_a);
   EXPECT_EQ(h_->hb.total_calls(), calls_b);
+}
+
+TEST_P(DriverConformanceTest, EveryTokenResolvesOnceInlineOrByCallback) {
+  // send() returning true means the packet already left and no callback
+  // will follow; false means exactly one callback follows. Bursts against
+  // a busy wire alternate with pauses that let it drain, so a driver that
+  // writes inline on an idle wire takes both branches here.
+  constexpr std::uint64_t kN = 48;
+  constexpr std::uint64_t kBurst = 12;
+  std::vector<Bytes> payloads;  // segments outlive every completion
+  for (std::uint64_t i = 0; i < kN; ++i)
+    payloads.push_back(make_payload(i % 3 == 0 ? 8 * 1024 : 64,
+                                    static_cast<std::uint8_t>(i)));
+  std::vector<int> outcomes(kN, 0);
+  std::size_t inlined = 0;
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    GatherList gl;
+    gl.add(payloads[i].data(), payloads[i].size());
+    bool left;
+    {
+      SendScope scope;
+      left = h_->a->send(kTrackEager, gl, i);
+    }
+    if (left) {
+      ++outcomes[i];
+      ++inlined;
+    }
+    if (i % kBurst == kBurst - 1) {
+      ASSERT_TRUE(h_->pump_until([&] {
+        return h_->hb.packet_count() == i + 1 &&
+               inlined + h_->ha.completion_count() == i + 1;
+      }));
+    }
+  }
+  // Give any stray callback the chance to show up.
+  for (int i = 0; i < 20; ++i) h_->pump_once();
+  for (const auto& c : h_->ha.completions()) {
+    ASSERT_LT(c.token, kN);
+    EXPECT_EQ(outcomes[c.token], 0)
+        << "token " << c.token << " completed inline and by callback";
+    ++outcomes[c.token];
+  }
+  for (std::uint64_t t = 0; t < kN; ++t)
+    EXPECT_EQ(outcomes[t], 1) << "token " << t;
+  EXPECT_EQ(inlined + h_->ha.completion_count(), kN);
+  EXPECT_EQ(h_->ha.failure_count(), 0u);
+  EXPECT_EQ(h_->ha.calls_inside_send(), 0u);
+  const auto got = h_->hb.packets();
+  ASSERT_EQ(got.size(), kN);
+  for (std::uint64_t i = 0; i < kN; ++i) EXPECT_EQ(got[i].payload, payloads[i]);
+  // A fresh socketpair is idle, so its first send always leaves inline.
+  if (GetParam() == Kind::Socket) {
+    EXPECT_GT(inlined, 0u);
+  }
 }
 
 TEST_P(DriverConformanceTest, InvalidTrackRejected) {

@@ -21,8 +21,9 @@ struct SendScope {
   SendScope& operator=(const SendScope&) = delete;
 };
 
-/// Records every callback. Thread-safe: drivers with an IO thread call it
-/// from that thread while the test thread reads snapshots.
+/// Records every callback, and the sends a driver completed inline (send()
+/// returned true). Thread-safe: drivers with an IO thread call it from that
+/// thread while the test thread reads snapshots.
 class RecordingHandler final : public EndpointHandler {
  public:
   struct Sent {
@@ -43,6 +44,14 @@ class RecordingHandler final : public EndpointHandler {
     std::lock_guard<std::mutex> lk(mu_);
     note_call();
     packets_.push_back({track, std::move(payload)});
+  }
+  /// send() returned true: the packet left inline and no callback follows.
+  /// Lands in completions() in call order, but is not a callback, so it
+  /// counts in neither total_calls() nor calls_inside_send().
+  void record_inline_completion(TrackId track, std::uint64_t token) {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++inline_completions_;
+    completions_.push_back({track, token});
   }
   void on_send_failed(TrackId track, std::uint64_t token) override {
     std::lock_guard<std::mutex> lk(mu_);
@@ -96,6 +105,11 @@ class RecordingHandler final : public EndpointHandler {
     std::lock_guard<std::mutex> lk(mu_);
     return completions_at_link_down_;
   }
+  /// Completions recorded by record_inline_completion().
+  std::size_t inline_completions() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return inline_completions_;
+  }
   /// Every callback so far, of any kind.
   std::size_t total_calls() const {
     std::lock_guard<std::mutex> lk(mu_);
@@ -122,6 +136,7 @@ class RecordingHandler final : public EndpointHandler {
   std::size_t completions_at_link_down_ = 0;
   std::size_t total_calls_ = 0;
   std::size_t calls_inside_send_ = 0;
+  std::size_t inline_completions_ = 0;
 };
 
 inline Bytes make_payload(std::size_t n, std::uint8_t seed = 1) {

@@ -33,11 +33,17 @@ class SocketDriverTest : public ::testing::Test {
     if (b_) b_->close();
   }
 
-  void send(SocketEndpoint& ep, TrackId track, const Bytes& payload,
+  /// send() that records an inline completion (send() returned true) on
+  /// the sending side's handler, as an engine completes it on the spot.
+  bool send(SocketEndpoint& ep, TrackId track, const Bytes& payload,
             std::uint64_t token) {
     GatherList gl;
     gl.add(payload.data(), payload.size());
-    ep.send(track, gl, token);
+    const bool left = ep.send(track, gl, token);
+    if (left) {
+      (&ep == a_.get() ? ha_ : hb_).record_inline_completion(track, token);
+    }
+    return left;
   }
 
   /// Wait until pred() or timeout; the loop thread delivers callbacks
@@ -200,17 +206,22 @@ TEST_F(SocketDriverTest, EveryTokenGetsExactlyOneOutcomeAcrossPeerDeath) {
 }
 
 /// Handler whose first on_packet holds the calling (loop) thread until
-/// release(); later callbacks just count.
+/// release(); later callbacks just count. Every packet is also handed on
+/// to `record`, when set.
 class GateHandler final : public EndpointHandler {
  public:
+  explicit GateHandler(RecordingHandler* record = nullptr) : record_(record) {}
   void on_send_complete(TrackId, std::uint64_t) override {}
-  void on_packet(TrackId, Bytes) override {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (packets_++ == 0) {
-      entered_ = true;
-      cv_.notify_all();
-      cv_.wait(lk, [&] { return released_; });
+  void on_packet(TrackId track, Bytes payload) override {
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      if (packets_++ == 0) {
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lk, [&] { return released_; });
+      }
     }
+    if (record_) record_->on_packet(track, std::move(payload));
   }
   void wait_entered() {
     std::unique_lock<std::mutex> lk(mu_);
@@ -227,6 +238,7 @@ class GateHandler final : public EndpointHandler {
   }
 
  private:
+  RecordingHandler* const record_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::size_t packets_ = 0;
@@ -266,6 +278,87 @@ TEST_F(SocketDriverTest, IdleLoopNeverWakesAndBurstCostsOneWake) {
   b_->set_handler(&hb_);
 }
 
+TEST_F(SocketDriverTest, SendLeavesInlineOnlyOnceThePeerReadEveryByte) {
+  // Hold b's loop inside its first on_packet: from then on nobody reads
+  // the stream, so whatever a writes stays unread in the socket.
+  GateHandler gate(&hb_);
+  b_->set_handler(&gate);
+  EXPECT_TRUE(send(*a_, kTrackEager, make_payload(8, 0), 0))
+      << "a fresh socketpair is idle";
+  gate.wait_entered();
+  // b read frame 0 before calling on_packet: the wire is idle again.
+  EXPECT_TRUE(send(*a_, kTrackEager, make_payload(16, 1), 1));
+  // Frame 1 sits unread: the wire is busy, so frame 2 queues.
+  EXPECT_FALSE(send(*a_, kTrackEager, make_payload(24, 2), 2));
+  EXPECT_EQ(a_->loop_frames(), 1u);
+  gate.release();
+  ASSERT_TRUE(pump_until([&] {
+    return hb_.packet_count() == 3 && ha_.completion_count() == 3 &&
+           a_->loop_frames() == 0;
+  }));
+  // b read everything and the loop's callback returned: idle again.
+  EXPECT_TRUE(send(*a_, kTrackEager, make_payload(32, 3), 3));
+  ASSERT_TRUE(pump_until([&] { return hb_.packet_count() == 4; }));
+  const auto done = ha_.completions();
+  ASSERT_EQ(done.size(), 4u);
+  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(done[i].token, i);
+  EXPECT_EQ(ha_.inline_completions(), 3u);
+  EXPECT_EQ(ha_.calls_inside_send(), 0u);
+  b_->set_handler(&hb_);
+}
+
+TEST_F(SocketDriverTest, ShortInlineWriteHandsTheRestToTheLoopInOrder) {
+  // Hold the shared loop inside b's first on_packet, then make a's next
+  // inline write come up short: a frame far larger than the socket
+  // buffer. The loop must finish that frame before anything queued behind
+  // it, and once it drained, send() writes inline again.
+  GateHandler gate(&hb_);
+  b_->set_handler(&gate);
+  std::vector<Bytes> sent;
+  std::vector<TrackId> tracks;
+  auto post = [&](TrackId track, Bytes p) {
+    const bool left = send(*a_, track, p, sent.size());
+    sent.push_back(std::move(p));
+    tracks.push_back(track);
+    return left;
+  };
+  EXPECT_TRUE(post(kTrackEager, make_payload(8, 0)));
+  gate.wait_entered();
+  EXPECT_FALSE(post(kTrackBulk, make_payload(8 * 1024 * 1024, 1)))
+      << "an 8 MiB frame cannot leave in one write";
+  EXPECT_EQ(a_->packets_sent(), 1u) << "the short frame has not left yet";
+  for (std::uint8_t i = 2; i < 6; ++i)
+    EXPECT_FALSE(post(i % 2 ? kTrackEager : kTrackBulk, make_payload(64, i)));
+  gate.release();
+  ASSERT_TRUE(pump_until([&] {
+    return hb_.packet_count() == sent.size() &&
+           ha_.completion_count() == sent.size() && a_->loop_frames() == 0;
+  }));
+  EXPECT_TRUE(post(kTrackEager, make_payload(32, 6)));
+  ASSERT_TRUE(pump_until([&] {
+    return hb_.packet_count() == sent.size() &&
+           ha_.completion_count() == sent.size();
+  }));
+  // One stream: delivery is byte-exact and FIFO across tracks, and so are
+  // the completions, inline or not.
+  const auto got = hb_.packets();
+  const auto done = ha_.completions();
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(got[i].track, tracks[i]) << i;
+    EXPECT_EQ(got[i].payload, sent[i]) << i;
+    EXPECT_EQ(done[i].token, i);
+    EXPECT_EQ(done[i].track, tracks[i]) << i;
+  }
+  EXPECT_EQ(ha_.inline_completions(), 2u);
+  EXPECT_EQ(ha_.failure_count(), 0u);
+  EXPECT_EQ(a_->bytes_sent(), [&] {
+    std::size_t n = 0;
+    for (const Bytes& p : sent) n += p.size();
+    return n;
+  }());
+  b_->set_handler(&hb_);
+}
+
 TEST_F(SocketDriverTest, TeardownOfIdleEndpointsIsPrompt) {
   // close() is one handshake with an idle loop, not a wait for a poll
   // tick; tearing down a fleet of idle endpoints must be quick. With the
@@ -302,7 +395,8 @@ TEST_F(SocketDriverTest, ConcurrentSendsRacingPeerDeathOneLinkDown) {
       GatherList gl;
       const Bytes p = make_payload(128 * 1024);
       gl.add(p.data(), p.size());
-      a_->send(kTrackBulk, gl, i);
+      if (a_->send(kTrackBulk, gl, i))
+        ha_.record_inline_completion(kTrackBulk, i);
       before_report[i] = ha_.link_downs() == 0;
       accepted.fetch_add(1, std::memory_order_release);
       if (i == kN / 4) b_->close();  // peer dies mid-burst
